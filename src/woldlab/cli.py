@@ -181,8 +181,7 @@ def _boundary_rows(sym: SchurSymbol, n: int = 256):
 
 def _decay_rows(pair, level: int):
     m2 = pair.s2.matrix
-    from .wold import hyper_range
-    p_inf = hyper_range(pair.s1.matrix).projector()
+    p_inf = pair.hyper_range_1.projector()
     block = p_inf @ m2 @ (np.eye(pair.space.dim) - p_inf)
     s = np.linalg.svd(block, compute_uv=False)
     top = list(s[:5]) + [0.0] * max(0, 5 - s.size)
@@ -221,7 +220,8 @@ def _run_verdict(cfg: RunConfig, warnings: list):
     for level in cfg.levels:
         pair = construct_example(sym, level)
         rep = verdict_battery(pair, seed=cfg.seed)
-        all_true = all_true and rep.verdict
+        verdict = bool(rep.vacuous or rep.r_iii <= tol)
+        all_true = all_true and verdict
         decay.append(_decay_rows(pair, level))
         out.append({
             "boundary_rank": pair.assembly.rank,
@@ -232,7 +232,7 @@ def _run_verdict(cfg: RunConfig, warnings: list):
             "r_iv_dims": rep.r_iv,
             "r_iv_levels": rep.levels,
             "vacuous": rep.vacuous,
-            "verdict": rep.verdict,
+            "verdict": verdict,
             "wandering_dim": rep.e_subspace.dim,
         })
     csvs = {"boundary.csv": _boundary_rows(sym), "decay.csv": decay}

@@ -15,11 +15,12 @@ a certified coefficient tail bound instead of pretending it is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
+from .linalg import gram_defect
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
@@ -207,11 +208,7 @@ def compress(op: GradedOperator, degree: int | None = None) -> GradedOperator:
 
 def isometry_defect(op: GradedOperator, window: int | None = None) -> float:
     """``||A^H A - I||`` over input coordinates the operator is exact on."""
-    r = op.restricted(window)
-    if r.shape[1] == 0:
-        return 0.0
-    gram = r.conj().T @ r
-    return float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
+    return gram_defect(op.restricted(window))
 
 
 def kernel_section(w: complex, fiber_vec: np.ndarray, degree: int) -> np.ndarray:

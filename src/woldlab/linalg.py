@@ -3,14 +3,20 @@
 Subspaces are stored as matrices with orthonormal columns; every operation
 makes its rank decision through an SVD with an explicit relative threshold,
 so downstream verdicts do not depend on basis choices or input conditioning.
+
+The audits every structural verdict reuses live here once: the Gram
+isometry defect ``||A^H A - I||`` (``gram_defect``), the unitarity defect
+``max(||U^H U - I||, ||U U^H - I||)`` (``unitarity_defect``), the mutual
+orthogonality of a family of subspaces (``mutual_orthogonality``), and
+the angle-ordered clustering of unimodular eigenvalues
+(``unimodular_clusters``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ValidationError
 
@@ -29,6 +35,10 @@ __all__ = [
     "principal_angles",
     "subspace_distance",
     "operator_norm",
+    "gram_defect",
+    "unitarity_defect",
+    "unimodular_clusters",
+    "mutual_orthogonality",
     "kernel",
     "pivoted_cholesky",
 ]
@@ -194,6 +204,65 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def gram_defect(a) -> float:
+    """``||A^H A - I||`` in operator norm; 0.0 when ``a`` has no columns."""
+    a = np.asarray(a)
+    if a.shape[1] == 0:
+        return 0.0
+    return operator_norm(a.conj().T @ a - np.eye(a.shape[1]))
+
+
+def unitarity_defect(u) -> float:
+    """``max(||U^H U - I||, ||U U^H - I||)``: the Gram defect of U and U^H."""
+    u = np.asarray(u)
+    return max(gram_defect(u), gram_defect(u.conj().T))
+
+
+def unimodular_clusters(values, tol: float) -> list:
+    """Index groups of ``values`` in angle order, anchored at their first.
+
+    Walking the values by increasing angle, a value joins the current group
+    when it lies within ``tol`` of the group's first member (its anchor)
+    and starts a new group otherwise. The last group merges into the first
+    when their anchors meet across the branch cut at angle pi; the merged
+    group keeps the first group's anchor.
+    """
+    values = np.asarray(values)
+    groups: list = []
+    for i in np.argsort(np.angle(values)):
+        if groups and abs(values[i] - values[groups[-1][0]]) <= tol:
+            groups[-1].append(int(i))
+        else:
+            groups.append([int(i)])
+    if len(groups) > 1 and \
+            abs(values[groups[-1][0]] - values[groups[0][0]]) <= tol:
+        groups[0].extend(groups.pop())
+    return groups
+
+
+def mutual_orthogonality(subspaces) -> float:
+    """Largest ``||Q_i^H Q_j||`` over pairs of distinct nonzero subspaces.
+
+    This is the largest off-diagonal block of ``L^H L`` for the stacked
+    bases ``L``. Bases of equal dimension are stacked, so one batched SVD
+    measures every pair drawn from two dimension classes.
+    """
+    classes: dict = {}
+    for sub in subspaces:
+        if sub.dim:
+            classes.setdefault(sub.dim, []).append(sub.basis)
+    stacks = [np.stack(group) for group in classes.values()]
+    worst = 0.0
+    for k, a in enumerate(stacks):
+        for b in stacks[k:]:
+            norms = np.linalg.norm(a.conj().swapaxes(1, 2)[:, None] @ b[None],
+                                   2, axis=(2, 3))
+            if b is a:
+                norms = np.triu(norms, 1)
+            worst = max(worst, float(norms.max()))
+    return worst
 
 
 def kernel(m, tol: float = DEFAULT_TOL) -> Subspace:

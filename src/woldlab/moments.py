@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .hardy import compress, multiplier, shift
-from .linalg import operator_norm
+from .linalg import (gram_defect, operator_norm, unimodular_clusters,
+                     unitarity_defect)
 from .pairs import ExampleAssembly
 from .symbols import MomentSequence, SchurSymbol, defect_weight
 
@@ -102,13 +103,8 @@ def block_model_check(model: BlockModel, degree: int | None = None) -> dict:
     u, a = model.u, model.a
     n = u.shape[0]
     r = n // (model.boundary_degree + 1)
-    eye = np.eye(n)
-    u_unit = max(operator_norm(u.conj().T @ u - eye),
-                 operator_norm(u @ u.conj().T - eye))
     win = np.zeros(n, dtype=bool)
     win[: model.boundary_degree * r] = True
-    aw = a[:, win]
-    a_iso = operator_norm(aw.conj().T @ aw - np.eye(int(win.sum())))
     ua = operator_norm((u @ a - a @ u)[:, win])
     b = model.b[:, : degree + 1]
     inter = operator_norm(u @ b[:, :-1] - b[:, 1:]) if degree >= 1 else 0.0
@@ -117,8 +113,8 @@ def block_model_check(model: BlockModel, degree: int | None = None) -> dict:
     mm = m_op.matrix.conj().T @ m_op.matrix
     defect = operator_norm(b.conj().T @ b + mm - np.eye(degree + 1))
     return {
-        "u_unitary": float(u_unit),
-        "a_isometry": float(a_iso),
+        "u_unitary": unitarity_defect(u),
+        "a_isometry": gram_defect(a[:, win]),
         "ua_commutator": float(ua),
         "intertwine": float(inter),
         "a_orthogonality": float(a_orth),
@@ -140,9 +136,7 @@ def intertwining_check(u: np.ndarray, b: np.ndarray) -> tuple:
     """
     u = np.asarray(u, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    eye = np.eye(u.shape[0])
-    defect = max(operator_norm(u.conj().T @ u - eye),
-                 operator_norm(u @ u.conj().T - eye))
+    defect = unitarity_defect(u)
     if defect > 1e-8:
         raise PreconditionError(
             f"walk operator is not unitary: defect {defect:.3e}"
@@ -174,9 +168,7 @@ def orthogonality_from_first(a: np.ndarray, b: np.ndarray,
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    eye = np.eye(u.shape[0])
-    u_def = max(operator_norm(u.conj().T @ u - eye),
-                operator_norm(u @ u.conj().T - eye))
+    u_def = unitarity_defect(u)
     if u_def > 1e-8:
         raise PreconditionError(
             f"walk operator is not unitary: defect {u_def:.3e}"
@@ -248,24 +240,18 @@ def finite_spectrum_forcing(u: np.ndarray, phi: SchurSymbol, k_max: int,
                             atoms: np.ndarray | None = None) -> ForcingReport:
     """Can finitely many unimodular atoms carry the defect weight?
 
-    Fits nonnegative masses at the given atoms (by default the clustered
-    eigenvalues of ``u``) to the weight's moment sequence and reports the
-    least-squares misfit. A weight that is not identically negligible yet
-    cannot be matched within ``tol`` forces the associated spectral part
-    to be trivial, which is what ``forced_trivial`` records.
+    Fits nonnegative masses at the given atoms (by default the anchors of
+    the eigenvalues of ``u`` clustered at 1e-6 by ``unimodular_clusters``)
+    to the weight's moment sequence and reports the least-squares misfit.
+    A weight that is not identically negligible yet cannot be matched
+    within ``tol`` forces the associated spectral part to be trivial,
+    which is what ``forced_trivial`` records.
     """
     w = defect_weight(phi, k_max)
     if atoms is None:
-        u = np.asarray(u, dtype=np.complex128)
-        vals = np.linalg.eigvals(u)
-        vals = vals[np.argsort(np.angle(vals))]
-        picked: list = []
-        for v in vals:
-            if not picked or abs(v - picked[-1]) > 1e-6:
-                picked.append(v)
-        if len(picked) > 1 and abs(picked[0] - picked[-1]) <= 1e-6:
-            picked.pop()
-        atoms = np.asarray(picked, dtype=np.complex128)
+        vals = np.linalg.eigvals(np.asarray(u, dtype=np.complex128))
+        groups = unimodular_clusters(vals, 1e-6)
+        atoms = np.asarray([vals[g[0]] for g in groups], dtype=np.complex128)
     else:
         atoms = np.asarray(atoms, dtype=np.complex128).reshape(-1)
         off = np.max(np.abs(np.abs(atoms) - 1.0)) if atoms.size else 0.0

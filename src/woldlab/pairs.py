@@ -27,7 +27,8 @@ change of basis even though coordinate degrees do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,16 +51,21 @@ from .hardy import (
 from .linalg import (
     Subspace,
     complement,
+    gram_defect,
     intersect,
     kernel,
+    mutual_orthogonality,
     operator_norm,
     orthonormalize,
     pivoted_cholesky,
     reducing_residual,
+    unimodular_clusters,
+    unitarity_defect,
     zero_subspace,
 )
-from .symbols import SchurSymbol, defect_weight, taylor
-from .wold import hyper_range, unitary_part
+from .symbols import SchurSymbol, defect_weight
+from .wold import (CanonicalDecomposition, hyper_range, unitary_part,
+                   wandering_subspace)
 
 __all__ = [
     "OperatorPair",
@@ -118,6 +124,16 @@ class OperatorPair:
     defect_1: float
     defect_2: float
     assembly: ExampleAssembly | None = None
+
+    @cached_property
+    def hyper_range_1(self) -> Subspace:
+        """Hyper-range of the first operator, computed once on first use."""
+        return hyper_range(self.s1.matrix)
+
+    @cached_property
+    def unitary_part_1(self) -> CanonicalDecomposition:
+        """Unitary/cnu decomposition of the first operator, computed once."""
+        return unitary_part(self.s1.matrix)
 
 
 @dataclass(frozen=True)
@@ -258,10 +274,8 @@ def validate_pair(s1, s2, mode: str = "isometry",
     m1, m2 = a.matrix, b.matrix
     comm = operator_norm((m1 @ m2 - m2 @ m1) @ probe.basis)
     if mode == "isometry":
-        pb = probe.basis
-        eye = np.eye(probe.dim)
-        d1 = operator_norm((m1 @ pb).conj().T @ (m1 @ pb) - eye)
-        d2 = operator_norm((m2 @ pb).conj().T @ (m2 @ pb) - eye)
+        d1 = gram_defect(m1 @ probe.basis)
+        d2 = gram_defect(m2 @ probe.basis)
         for name, d in (("first", d1), ("second", d2)):
             if d > 1e-8:
                 raise DomainError(
@@ -431,19 +445,14 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    h_inf = hyper_range(m1)
+    h_inf = p.hyper_range_1
     e_sub = intersect(kernel(m1.conj().T), p.probe)
     h_probe = intersect(h_inf, p.probe)
     p_inf = h_inf.projector()
     red_out, red_in = reducing_residual(m2, h_inf)
-    if h_probe.dim:
-        a = p_inf @ m2 @ h_probe.basis
-        iso = operator_norm(a.conj().T @ a - np.eye(h_probe.dim))
-        dc = operator_norm(
-            (m1.conj().T @ m2 - m2 @ m1.conj().T) @ h_probe.basis)
-    else:
-        iso = 0.0
-        dc = 0.0
+    iso = gram_defect(p_inf @ m2 @ h_probe.basis)
+    dc = operator_norm((m1.conj().T @ m2 - m2 @ m1.conj().T) @ h_probe.basis) \
+        if h_probe.dim else 0.0
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
@@ -495,14 +504,6 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     )
 
 
-def _wandering_of(matrix: np.ndarray, within: Subspace) -> Subspace:
-    """Defect directions of an isometric-type compression inside a part."""
-    pr = within.projector()
-    flat = pr - pr @ matrix @ pr @ matrix.conj().T @ pr
-    vals, vecs = np.linalg.eigh((flat + flat.conj().T) / 2.0)
-    return orthonormalize(vecs[:, vals >= 0.5])
-
-
 def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
                     cap: int) -> list:
     """Apply ``step`` repeatedly, stopping before leaving the probe."""
@@ -548,24 +549,16 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     a_full = p_inf @ m2 @ p_inf
     h_uu = intersect(hyper_range(a_full), h_inf) \
         if h_inf.dim else zero_subspace(n)
-    if h_uu.dim:
-        v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
-        v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
-    else:
-        v1 = np.zeros((0, 0), dtype=np.complex128)
-        v2 = np.zeros((0, 0), dtype=np.complex128)
-    f_wander = _wandering_of(m2, h_inf) if h_inf.dim else zero_subspace(n)
-    if f_wander.dim:
-        psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
-        psi_unit = operator_norm(
-            psi.conj().T @ psi - np.eye(f_wander.dim))
-        f_rungs = _trusted_ladder(m2, f_wander, p.probe, n)
-    else:
-        psi = np.zeros((0, 0), dtype=np.complex128)
-        psi_unit = 0.0
-        f_rungs = []
+    v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
+    v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
+    f_wander = wandering_subspace(m2, h_inf) if h_inf.dim \
+        else zero_subspace(n)
+    psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
+    f_rungs = _trusted_ladder(m2, f_wander, p.probe, n) \
+        if f_wander.dim else []
     h_out = complement(h_inf)
-    e_wander = _wandering_of(m1, h_out) if h_out.dim else zero_subspace(n)
+    e_wander = wandering_subspace(m1, h_out) if h_out.dim \
+        else zero_subspace(n)
     e_dim = e_wander.dim
     if e_dim:
         e_rungs = _trusted_ladder(m1, e_wander, p.probe, n)
@@ -610,7 +603,7 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
                 m2 @ rung - model_img, 2)))
     return ModelDecomposition(
         h_uu=h_uu, v1=v1, v2=v2,
-        f_dim=f_wander.dim, psi=psi, psi_unitarity=float(psi_unit),
+        f_dim=f_wander.dim, psi=psi, psi_unitarity=gram_defect(psi),
         e_dim=e_dim, phi=phi, phi_coeffs=coeffs,
         toeplitz_residual=float(toe),
         reconstruction_residual=float(worst),
@@ -640,7 +633,7 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         raise PreconditionError(
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"
         )
-    h1 = hyper_range(m1)
+    h1 = p.hyper_range_1
     h2 = hyper_range(m2)
     h_uu = intersect(h1, h2)
     h_us = intersect(h1, complement(h_uu)) if h_uu.dim else h1
@@ -651,14 +644,7 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     labels: dict = {}
     fibers: dict = {}
     consts: dict = {}
-    ortho = 0.0
     reduce_worst = 0.0
-    keys = list(parts)
-    for i, ki in enumerate(keys):
-        for kj in keys[i + 1:]:
-            if parts[ki].dim and parts[kj].dim:
-                ortho = max(ortho, operator_norm(
-                    parts[ki].basis.conj().T @ parts[kj].basis))
     for key, sub in parts.items():
         if sub.dim == 0:
             labels[key] = ("empty", "empty")
@@ -670,24 +656,22 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         role = []
         wanders = []
         for m in (m1, m2):
-            block = sub.basis.conj().T @ m @ sub.basis
-            eye = np.eye(sub.dim)
-            defect = max(operator_norm(block.conj().T @ block - eye),
-                         operator_norm(block @ block.conj().T - eye))
+            defect = unitarity_defect(sub.basis.conj().T @ m @ sub.basis)
             role.append("unitary" if defect <= 1e-8 else "shift")
-            wanders.append(_wandering_of(m, sub).dim)
+            wanders.append(wandering_subspace(m, sub).dim)
         labels[key] = tuple(role)
         fibers[key] = tuple(wanders)
         consts[key] = None
         if labels[key] == ("unitary", "shift"):
-            w = _wandering_of(m2, sub)
+            w = wandering_subspace(m2, sub)
             consts[key] = w.basis.conj().T @ m1 @ w.basis
         elif labels[key] == ("shift", "unitary"):
-            w = _wandering_of(m1, sub)
+            w = wandering_subspace(m1, sub)
             consts[key] = w.basis.conj().T @ m2 @ w.basis
     return SlocinskiDecomposition(
         parts=parts, dims=dims, labels=labels, fiber_dims=fibers,
-        constant_symbols=consts, orthogonality_residual=float(ortho),
+        constant_symbols=consts,
+        orthogonality_residual=mutual_orthogonality(parts.values()),
         reduction_residual=float(reduce_worst),
         double_commutation_residual=float(dc),
     )
@@ -697,12 +681,13 @@ def point_spectrum_part(p: OperatorPair,
                         cluster_tol: float = 1e-8) -> PointSpectrumPart:
     """Unimodular eigenspaces of the first operator, clustered and summed.
 
-    Eigenvalues of the unitary block are clustered at ``cluster_tol``;
-    each cluster contributes one eigenspace, and their orthogonal sum is
-    returned along with the residuals showing it reduces both operators.
+    Eigenvalues of the unitary block are clustered at ``cluster_tol`` by
+    ``unimodular_clusters``; each cluster contributes one eigenspace, and
+    their orthogonal sum is returned along with the residuals showing it
+    reduces both operators.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
-    cd = unitary_part(m1)
+    cd = p.unitary_part_1
     if cd.unitary_part.dim == 0:
         zero = zero_subspace(p.space.dim)
         return PointSpectrumPart(subspace=zero, eigenpairs=[],
@@ -710,30 +695,13 @@ def point_spectrum_part(p: OperatorPair,
                                  reduction_residual_2=0.0,
                                  unimodularity=0.0)
     vals, vecs = np.linalg.eig(cd.unitary_block)
-    order = np.argsort(np.angle(vals))
-    vals, vecs = vals[order], vecs[:, order]
     unimod = float(np.max(np.abs(np.abs(vals) - 1.0)))
-    clusters: list = []
-    used = np.zeros(vals.size, dtype=bool)
-    for i in range(vals.size):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, vals.size):
-            if not used[j] and abs(vals[j] - vals[i]) <= cluster_tol:
-                group.append(j)
-                used[j] = True
-        clusters.append(group)
     pairs = []
-    blocks = []
-    for group in clusters:
+    for group in unimodular_clusters(vals, cluster_tol):
         lam = complex(np.mean(vals[group]))
         basis = orthonormalize(cd.unitary_part.basis @ vecs[:, group])
         pairs.append((lam, basis))
-        blocks.append(basis.basis)
-    total = orthonormalize(np.hstack(blocks)) if blocks \
-        else zero_subspace(p.space.dim)
+    total = orthonormalize(np.hstack([b.basis for _, b in pairs]))
     r1 = max(reducing_residual(m1, total))
     r2 = max(reducing_residual(m2, total))
     return PointSpectrumPart(subspace=total, eigenpairs=pairs,
@@ -744,27 +712,14 @@ def point_spectrum_part(p: OperatorPair,
 
 def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     """Kernel and spectrum cardinality indicators on the hyper-range."""
-    m1, m2 = p.s1.matrix, p.s2.matrix
-    h_inf = hyper_range(m1)
-    if h_inf.dim:
-        ma = h_inf.basis.conj().T @ m2.conj().T @ h_inf.basis
-        dim_a = kernel(ma).dim
-    else:
-        dim_a = 0
+    m2 = p.s2.matrix
+    h_inf = p.hyper_range_1
+    ma = h_inf.basis.conj().T @ m2.conj().T @ h_inf.basis
+    dim_a = kernel(ma).dim if h_inf.dim else 0
     k2 = kernel(m2.conj().T)
     dim_b = orthonormalize(h_inf.projector() @ k2.basis).dim if k2.dim else 0
-    cd = unitary_part(m1)
-    if cd.unitary_part.dim:
-        vals = np.linalg.eigvals(cd.unitary_block)
-        vals = vals[np.argsort(np.angle(vals))]
-        card = 1
-        for i in range(1, vals.size):
-            if abs(vals[i] - vals[i - 1]) > 1e-6:
-                card += 1
-        if vals.size > 1 and abs(vals[0] - vals[-1]) <= 1e-6 and card > 1:
-            card -= 1
-    else:
-        card = 0
+    card = len(unimodular_clusters(
+        np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = verdict_battery(p, n_levels=2)
     return FinitenessReport(dim_a=dim_a, dim_b=dim_b, spectrum_card=card,
                             verdict=rep.verdict, r_iii=rep.r_iii)

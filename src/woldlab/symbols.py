@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ValidationError
+from .linalg import gram_defect
 
 __all__ = [
     "SchurSymbol",
@@ -254,11 +255,9 @@ def is_inner(sym: SchurSymbol, n_samples: int = 512,
     """
     if n_samples < 8:
         raise ValidationError("is_inner needs at least 8 samples")
-    eye = np.eye(sym.fiber_dim)
     dev = 0.0
     for z in unit_circle_grid(n_samples):
-        v = evaluate(sym, z)
-        dev = max(dev, float(np.linalg.norm(v.conj().T @ v - eye, 2)))
+        dev = max(dev, gram_defect(evaluate(sym, z)))
     return (dev <= tol, dev)
 
 

@@ -16,7 +16,7 @@ runs out before the ranges stabilize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,15 @@ from .linalg import (
     as_matrix,
     complement,
     full_subspace,
+    gram_defect,
     intersect,
     kernel,
+    mutual_orthogonality,
     operator_norm,
     orthonormalize,
     reducing_residual,
     subspace_distance,
-    zero_subspace,
+    unitarity_defect,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "unitary_part",
     "hyper_range",
     "wold_split",
+    "wandering_subspace",
     "shimorin_condition",
     "cnu_eigenvector_span_residual",
     "as_graded",
@@ -144,23 +147,13 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
             cur = nxt
             break
         cur = nxt
-    cnu = complement(cur)
-    if cur.dim:
-        block = cur.basis.conj().T @ m @ cur.basis
-        eye_u = np.eye(cur.dim)
-        unit_defect = max(
-            float(np.linalg.norm(block.conj().T @ block - eye_u, 2)),
-            float(np.linalg.norm(block @ block.conj().T - eye_u, 2)),
-        )
-    else:
-        block = np.zeros((0, 0), dtype=np.complex128)
-        unit_defect = 0.0
+    block = cur.basis.conj().T @ m @ cur.basis
     return CanonicalDecomposition(
         unitary_part=cur,
-        cnu_part=cnu,
+        cnu_part=complement(cur),
         unitary_block=block,
         reducing_defect=reducing_residual(m, cur),
-        unitarity_defect=unit_defect,
+        unitarity_defect=unitarity_defect(block),
     )
 
 
@@ -229,16 +222,36 @@ def _hyper_range_graded(op: GradedOperator, n_max: int | None,
     return cur
 
 
+def wandering_subspace(t: np.ndarray,
+                       within: Subspace | None = None) -> Subspace:
+    """Wandering directions of an isometric-type compression.
+
+    Reads them off the near-idempotent defect ``I - T T^H`` (eigenvalues at
+    least one half); with ``within``, the defect of the compression
+    ``P T P`` to that part, ``P - P T P T^H P``.
+    """
+    if within is None:
+        flat = np.eye(t.shape[0]) - t @ t.conj().T
+    else:
+        pr = within.projector()
+        flat = pr - pr @ t @ pr @ t.conj().T @ pr
+    vals, vecs = np.linalg.eigh((flat + flat.conj().T) / 2.0)
+    return orthonormalize(vecs[:, vals >= 0.5])
+
+
 def wold_split(s, n_max: int) -> WoldDecomposition:
     """Wandering ladder and residual hyper-range of an isometric window.
 
     The wandering subspace is read off the near-idempotent defect
     ``I - S S^H`` (eigenvalues above one half), the ladder applies the
     operator ``n_max`` times, and the hyper-range is the orthogonal
-    complement of the ladder inside the trusted window. Truncation shows up
-    in the reported residuals rather than being silently absorbed: an
-    ``n_max`` too small to exhaust the window simply produces a visible
-    completeness residual.
+    complement of the ladder inside the trusted window. The rungs are
+    audited as one stacked basis ``L``: orthogonality is the largest
+    off-diagonal block of ``L^H L``, completeness the largest column norm
+    of ``I - P_H - L L^H`` on the window. Truncation shows up in the
+    reported residuals rather than being silently absorbed: an ``n_max``
+    too small to exhaust the window simply produces a visible completeness
+    residual.
 
     Raises
     ------
@@ -250,18 +263,12 @@ def wold_split(s, n_max: int) -> WoldDecomposition:
         raise DomainError("wold_split needs a square compression")
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
-    restricted = op.restricted()
-    if restricted.shape[1]:
-        gram = restricted.conj().T @ restricted
-        defect = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
-        if defect > 1e-10:
-            raise DomainError(
-                f"operator is not isometric on its window: defect {defect:.3e}"
-            )
-    n = op.domain.dim
-    flat = np.eye(n) - op.matrix @ op.matrix.conj().T
-    vals, vecs = np.linalg.eigh((flat + flat.conj().T) / 2.0)
-    wandering = orthonormalize(vecs[:, vals >= 0.5])
+    defect = gram_defect(op.restricted())
+    if defect > 1e-10:
+        raise DomainError(
+            f"operator is not isometric on its window: defect {defect:.3e}"
+        )
+    wandering = wandering_subspace(op.matrix)
     ladder = [wandering]
     rung = wandering.basis
     for _ in range(n_max):
@@ -270,36 +277,20 @@ def wold_split(s, n_max: int) -> WoldDecomposition:
         if step.dim == 0:
             break
         ladder.append(step)
-    cross = 0.0
-    for i in range(len(ladder)):
-        for j in range(i + 1, len(ladder)):
-            if ladder[i].dim and ladder[j].dim:
-                cross = max(cross, operator_norm(
-                    ladder[i].basis.conj().T @ ladder[j].basis))
+    stack = np.hstack([r.basis for r in ladder])
     window_sub = _window_subspace(op.domain, op.window)
-    if wandering.dim:
-        span = orthonormalize(np.hstack([r.basis for r in ladder if r.dim]))
-        residual_dirs = complement(span)
-        hyper = intersect(residual_dirs, window_sub)
-    else:
-        span = zero_subspace(n)
-        hyper = window_sub
-    p_h = hyper.projector()
-    rung_projs = [r.projector() for r in ladder if r.dim]
-    worst = 0.0
-    for idx in np.flatnonzero(op.domain.degrees_array() <= op.window):
-        h = np.zeros(n, dtype=np.complex128)
-        h[idx] = 1.0
-        rec = p_h @ h
-        for p in rung_projs:
-            rec = rec + p @ h
-        worst = max(worst, float(np.linalg.norm(h - rec)))
+    hyper = intersect(complement(orthonormalize(stack)), window_sub) \
+        if wandering.dim else window_sub
+    win = op.window_mask()
+    rest = window_sub.basis - hyper.basis @ hyper.basis[win].conj().T \
+        - stack @ stack[win].conj().T
+    worst = float(np.linalg.norm(rest, axis=0).max()) if rest.size else 0.0
     return WoldDecomposition(
         hyper_range=hyper,
         wandering=wandering,
         ladder=ladder,
         completeness_residual=worst,
-        ladder_orthogonality=cross,
+        ladder_orthogonality=mutual_orthogonality(ladder),
     )
 
 

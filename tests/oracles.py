@@ -4,8 +4,10 @@ Each oracle deliberately takes a different computational route from the
 module it validates: intersections via averaged projectors instead of
 stacked-complement SVDs, defect weights via dense quadrature instead of
 coefficient autocorrelation, unitary parts via one big stacked nullspace
-instead of iterated preimages, and nonnegative least squares via scipy's
-active-set solver instead of projected gradients.
+instead of iterated preimages, Wold ladder audits one rung pair and one
+window coordinate at a time instead of through one stacked basis, and
+nonnegative least squares via scipy's active-set solver instead of
+projected gradients.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
-from woldlab.linalg import Subspace, orthonormalize
+from woldlab.linalg import Subspace, operator_norm, orthonormalize
 from woldlab.symbols import SchurSymbol, evaluate
 
 
@@ -67,6 +69,35 @@ def unitary_part_stacked(t: np.ndarray) -> Subspace:
     _, s, vh = np.linalg.svd(stack)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     return orthonormalize(vh[rank:].conj().T)
+
+
+def ladder_audits_pairwise(ladder: list, hyper: Subspace,
+                           window_mask: np.ndarray) -> tuple:
+    """Ladder orthogonality and completeness, rung by rung.
+
+    Orthogonality is the largest ``||Q_i^H Q_j||`` over pairs of distinct
+    nonzero rungs; completeness the worst ``||h - P_H h - sum_r P_r h||``
+    over window coordinate vectors ``h``, with one projector per rung.
+    Returns ``(completeness, orthogonality)``.
+    """
+    rungs = [r for r in ladder if r.dim]
+    cross = 0.0
+    for i in range(len(rungs)):
+        for j in range(i + 1, len(rungs)):
+            cross = max(cross, operator_norm(
+                rungs[i].basis.conj().T @ rungs[j].basis))
+    n = hyper.ambient_dim
+    p_h = hyper.projector()
+    projectors = [r.projector() for r in rungs]
+    worst = 0.0
+    for idx in np.flatnonzero(window_mask):
+        h = np.zeros(n, dtype=np.complex128)
+        h[idx] = 1.0
+        rec = p_h @ h
+        for p in projectors:
+            rec = rec + p @ h
+        worst = max(worst, float(np.linalg.norm(h - rec)))
+    return worst, cross
 
 
 def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

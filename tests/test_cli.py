@@ -114,6 +114,29 @@ def test_verdict_command_flags_noninner_symbol(tmp_path):
     assert len(brows) == 257
 
 
+def test_verdict_command_applies_the_configured_tolerance(tmp_path):
+    # r_iii of z/2 is sqrt(3)/2, inside a tolerance of 1.0 only
+    loose = dict(HALF, tolerances={"verdict": 1.0})
+    proc, out = _invoke("verdict", loose, tmp_path)
+    assert proc.returncode == 0
+    level = _report(out)["levels"][0]
+    assert level["verdict"] is True
+    assert level["r_iii"]["tolerance"] == 1.0
+    strict = tmp_path / "strict"
+    strict.mkdir()
+    proc, out = _invoke("verdict", HALF, strict)
+    assert proc.returncode == 2
+    assert _report(out)["levels"][0]["verdict"] is False
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, woldlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verdict_command_accepts_inner_symbol(tmp_path):
     proc, out = _invoke("verdict", INNER, tmp_path)
     assert proc.returncode == 0

@@ -6,14 +6,18 @@ from woldlab.errors import DimensionError, ValidationError
 from woldlab.linalg import (
     Subspace,
     complement,
+    gram_defect,
     intersect,
     kernel,
+    mutual_orthogonality,
     operator_norm,
     orthonormalize,
     pivoted_cholesky,
     principal_angles,
     reducing_residual,
     subspace_distance,
+    unimodular_clusters,
+    unitarity_defect,
     zero_subspace,
 )
 
@@ -162,3 +166,41 @@ def test_pivoted_cholesky_rank_deficient_and_indefinite():
     bad = np.diag([1.0, -0.1]).astype(complex)
     with pytest.raises(ValidationError):
         pivoted_cholesky(bad)
+
+
+def test_gram_and_unitarity_defects_of_a_rectangular_isometry():
+    rng = np.random.default_rng(8)
+    v = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))[0]
+    assert gram_defect(v) < 1e-14
+    assert gram_defect(np.zeros((4, 0))) == 0.0
+    # V V^H is a rank-3 projector on C^5, so the co-isometry defect is 1
+    assert abs(unitarity_defect(v) - 1.0) < 1e-14
+    assert unitarity_defect(np.zeros((0, 0))) == 0.0
+
+
+def test_mutual_orthogonality_matches_pairwise_norms_across_widths():
+    rng = np.random.default_rng(9)
+    subs = [_random_subspace(rng, 7, d) for d in (1, 3, 2, 1, 3)]
+    subs.insert(1, zero_subspace(7))
+    pairwise = max(operator_norm(a.basis.conj().T @ b.basis)
+                   for i, a in enumerate(subs) for b in subs[i + 1:]
+                   if a.dim and b.dim)
+    assert abs(mutual_orthogonality(subs) - pairwise) <= 1e-14 * pairwise
+    assert mutual_orthogonality(subs[:2]) == 0.0
+    # a later narrow subspace tilted into an earlier wide one
+    eye = np.eye(8, dtype=complex)
+    tilted = orthonormalize(eye[:, 1] + eye[:, 6])
+    subs = [orthonormalize(eye[:, :1]), orthonormalize(eye[:, 1:4]),
+            orthonormalize(eye[:, 4:6]), tilted]
+    assert abs(mutual_orthogonality(subs) - np.sqrt(0.5)) < 1e-15
+    assert mutual_orthogonality(subs[:3]) == 0.0
+
+
+def test_unimodular_clusters_merge_across_the_branch_cut():
+    vals = np.exp(1j * np.array([np.pi - 1e-9, 0.5, -np.pi + 1e-9,
+                                 0.5 + 1e-9, 2.0]))
+    groups = unimodular_clusters(vals, 1e-8)
+    # angle order: -pi (2), 0.5 (1, 3), 2.0 (4), pi (0) joins the first
+    assert groups == [[2, 0], [1, 3], [4]]
+    assert unimodular_clusters(vals, 1e-12) == [[2], [1], [3], [4], [0]]
+    assert unimodular_clusters(np.zeros(0), 1e-8) == []

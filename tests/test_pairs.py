@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
+from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            construct_example, finiteness_checks,
                            four_block_pair, model_decomposition,
@@ -12,6 +14,7 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            slocinski, tensor_shift_pair, three_part_pair,
                            validate_pair, verdict_battery)
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
+from woldlab.wold import unitary_part
 
 HALF_SHIFT_NORM = 0.8660254037844386  # sqrt(3)/2
 AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
@@ -225,3 +228,46 @@ def test_average_symbol_projected_norm_matches_weight_mass():
     pair = construct_example(polynomial([0.5, 0.5]), 32)
     rep = verdict_battery(pair)
     assert abs(rep.r_iii - AVERAGE_NORM) < 1e-6
+
+
+def test_finiteness_cardinality_counts_the_default_forcing_atoms():
+    # 0.3 and 0.3 + 6e-7 share an anchor, 0.3 + 1.2e-6 starts its own
+    # cluster, and the two values straddling angle pi form one cluster
+    angles = [0.3, 0.3 + 6e-7, 0.3 + 1.2e-6, np.pi - 2e-7, -np.pi + 2e-7]
+    pair = validate_pair(np.diag(np.exp(1j * np.array(angles))), np.eye(5))
+    card = finiteness_checks(pair).spectrum_card
+    block = unitary_part(pair.s1.matrix).unitary_block
+    atoms = finite_spectrum_forcing(block, polynomial([0, 0.5]), 4).atoms
+    assert card == atoms.size == 3
+
+
+def test_pair_computes_its_first_hyper_range_once(monkeypatch):
+    pair = construct_example(blaschke([0.5]), 16)
+    real = woldlab.pairs.hyper_range
+    calls = []
+
+    def counting(t, *args, **kwargs):
+        calls.append(np.array_equal(t, pair.s1.matrix))
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "hyper_range", counting)
+    verdict_battery(pair)
+    finiteness_checks(pair)
+    model_decomposition(pair)
+    assert sum(calls) == 1
+
+
+def test_pair_computes_its_first_unitary_part_once(monkeypatch):
+    pair, _ = four_block_pair(1)
+    real = woldlab.pairs.unitary_part
+    calls = []
+
+    def counting(t, *args, **kwargs):
+        calls.append(np.array_equal(t, pair.s1.matrix))
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "unitary_part", counting)
+    finiteness_checks(pair)
+    ps = point_spectrum_part(pair)
+    assert sum(calls) == 1
+    assert ps.subspace.dim == pair.unitary_part_1.unitary_part.dim

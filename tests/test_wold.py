@@ -6,13 +6,13 @@ import scipy.linalg as sla
 
 from woldlab.errors import DomainError, PrecisionError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
-                           direct_sum, multiplier, shift)
+                           direct_sum, hardy_space, multiplier, shift)
 from woldlab.linalg import subspace_distance
 from woldlab.symbols import blaschke, constant, polynomial
 from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
                           shimorin_condition, unitary_part, wold_split)
 
-from oracles import unitary_part_stacked
+from oracles import ladder_audits_pairwise, unitary_part_stacked
 
 
 def _random_contraction(rng, n):
@@ -128,6 +128,39 @@ def test_wold_split_of_inner_multiplier_has_no_residual_part():
     assert dec.hyper_range.dim == 0
     assert dec.completeness_residual <= 1e-8
     assert dec.ladder_orthogonality <= 1e-8
+
+
+def _blaschke_window():
+    sym = blaschke([0.25], truncation_hint=200)
+    big = compress(multiplier(sym, 112, order=112))
+    return GradedOperator(matrix=big.matrix, domain=big.domain,
+                          codomain=big.codomain, growth=0, window=12)
+
+
+def _partial_isometry_window():
+    # isometric on the three window columns, arbitrary above them, so the
+    # ladder rungs overlap and both audits are far from zero
+    rng = np.random.default_rng(4)
+    sp = hardy_space(1, 7)
+    m = 0.5 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    m[:, :3] = np.linalg.qr(rng.normal(size=(8, 3))
+                            + 1j * rng.normal(size=(8, 3)))[0]
+    return GradedOperator(matrix=m, domain=sp, codomain=sp, growth=1,
+                          window=2)
+
+
+@pytest.mark.parametrize("make, n_max", [(_blaschke_window, 5),
+                                         (_partial_isometry_window, 6)])
+def test_wold_split_audits_match_rung_by_rung_oracle(make, n_max):
+    op = make()
+    dec = wold_split(op, n_max)
+    completeness, orthogonality = ladder_audits_pairwise(
+        dec.ladder, dec.hyper_range, op.window_mask())
+    assert completeness > 1e-3
+    assert dec.completeness_residual == pytest.approx(completeness,
+                                                      rel=1e-14, abs=0.0)
+    assert dec.ladder_orthogonality == pytest.approx(orthogonality,
+                                                     rel=1e-14, abs=1e-15)
 
 
 def test_wold_split_rejects_nonisometric_window():
