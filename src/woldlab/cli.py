@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import jsonschema
@@ -41,10 +41,6 @@ DEFAULT_TOLERANCES = {
     "forcing": 1e-6,
     "unitarity": 1e-8,
 }
-
-_SYMBOL_COMMANDS = {"construct-example", "verdict", "model-decompose",
-                    "moments", "forcing"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -134,9 +130,7 @@ def _require_symbol(cfg: RunConfig, command: str) -> SchurSymbol:
 def _shift_plus_unitary(degree: int, unitary_dim: int, seed: int):
     s080 = compress(shift(1, degree))
     if unitary_dim == 0:
-        return GradedOperator(matrix=s080.matrix, domain=s080.domain,
-                              codomain=s080.domain, growth=1,
-                              window=degree - 1)
+        return s080
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.normal(size=(unitary_dim, unitary_dim))
                      + 1j * rng.normal(size=(unitary_dim, unitary_dim)))[0]
@@ -179,15 +173,6 @@ def _boundary_rows(sym: SchurSymbol, n: int = 256):
     return rows
 
 
-def _decay_rows(pair, level: int):
-    m2 = pair.s2.matrix
-    p_inf = pair.hyper_range_1.projector()
-    block = p_inf @ m2 @ (np.eye(pair.space.dim) - p_inf)
-    s = np.linalg.svd(block, compute_uv=False)
-    top = list(s[:5]) + [0.0] * max(0, 5 - s.size)
-    return (level, *[float(x) for x in top[:5]])
-
-
 def _run_construct(cfg: RunConfig, warnings: list):
     from .pairs import construct_example
 
@@ -222,7 +207,7 @@ def _run_verdict(cfg: RunConfig, warnings: list):
         rep = verdict_battery(pair, seed=cfg.seed)
         verdict = bool(rep.vacuous or rep.r_iii <= tol)
         all_true = all_true and verdict
-        decay.append(_decay_rows(pair, level))
+        decay.append((level, *rep.r_v[-1]))
         out.append({
             "boundary_rank": pair.assembly.rank,
             "degree": level,
@@ -250,7 +235,12 @@ def _run_model(cfg: RunConfig, warnings: list):
     for level in cfg.levels:
         pair = construct_example(sym, level)
         md = model_decomposition(pair)
-        decay.append(_decay_rows(pair, level))
+        decay.append((level, *pair.verdict_report.r_v[-1]))
+        for key in ("reconstruction_residual", "toeplitz_residual"):
+            value = getattr(md, key)
+            if value > tol:
+                warnings.append(f"degree {level}: {key} {value:.3e} "
+                                f"exceeds its tolerance {tol:.3e}")
         out.append({
             "coefficient_count": int(md.phi_coeffs.shape[0]),
             "degree": level,
@@ -466,21 +456,17 @@ def main(argv=None) -> int:
         with open(args.config, "rb") as fh:
             cfg = validate_config(fh.read())
         if args.seed is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         if args.csv:
-            cfg = RunConfig(**{**cfg.__dict__, "emit_csv": True})
+            cfg = replace(cfg, emit_csv=True)
         out_dir = args.out if args.out is not None else cfg.output_dir
         report, code, csvs = run(cfg, args.command)
+        if cfg.emit_csv and not csvs:
+            report["warnings"].append("no csv series defined for this command")
         os.makedirs(out_dir, exist_ok=True)
         _write_atomic(os.path.join(out_dir, "report.json"),
                       json.dumps(report, indent=2, sort_keys=True) + "\n")
         if cfg.emit_csv:
-            if not csvs:
-                report["warnings"].append(
-                    "no csv series defined for this command")
-                _write_atomic(
-                    os.path.join(out_dir, "report.json"),
-                    json.dumps(report, indent=2, sort_keys=True) + "\n")
             for fname, rows in csvs.items():
                 buf = io.StringIO()
                 writer = csv.writer(buf, lineterminator="\n")

@@ -135,6 +135,11 @@ class OperatorPair:
         """Unitary/cnu decomposition of the first operator, computed once."""
         return unitary_part(self.s1.matrix)
 
+    @cached_property
+    def verdict_report(self) -> VerdictReport:
+        """Verdict battery with its default arguments, computed once."""
+        return verdict_battery(self)
+
 
 @dataclass(frozen=True)
 class VerdictReport:
@@ -417,10 +422,8 @@ def construct_example(phi: SchurSymbol, degree: int,
 def shift_multiplier_pair(sym: SchurSymbol, degree: int) -> OperatorPair:
     """The pair (shift, multiplication by an inner symbol) on one window."""
     s1 = compress(shift(sym.fiber_dim, degree))
-    pad = GradedOperator(matrix=s1.matrix, domain=s1.domain,
-                         codomain=s1.domain, growth=1, window=degree - 1)
     s2 = compress(multiplier(sym, degree))
-    return validate_pair(pad, s2, "isometry")
+    return validate_pair(s1, s2, "isometry")
 
 
 def _level_caps(top: int, n_levels: int) -> list:
@@ -537,14 +540,14 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     PreconditionError
         If the battery verdict is false; the message carries ``r_iii``.
     """
-    report = verdict_battery(p, n_levels=2)
+    report = p.verdict_report
     if not report.verdict:
         raise PreconditionError(
             f"pair fails the orthogonality verdict: r_iii={report.r_iii:.6g}"
         )
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    h_inf = report.p_inf
+    h_inf = p.hyper_range_1
     p_inf = h_inf.projector()
     a_full = p_inf @ m2 @ p_inf
     h_uu = intersect(hyper_range(a_full), h_inf) \
@@ -636,8 +639,10 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     h1 = p.hyper_range_1
     h2 = hyper_range(m2)
     h_uu = intersect(h1, h2)
-    h_us = intersect(h1, complement(h_uu)) if h_uu.dim else h1
-    h_su = intersect(h2, complement(h_uu)) if h_uu.dim else h2
+    h_us, h_su = h1, h2
+    if h_uu.dim:
+        rest = complement(h_uu)
+        h_us, h_su = intersect(h1, rest), intersect(h2, rest)
     h_ss = intersect(complement(h1), complement(h2))
     parts = {"uu": h_uu, "us": h_us, "su": h_su, "ss": h_ss}
     dims = {k: v.dim for k, v in parts.items()}
@@ -653,21 +658,17 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
             continue
         reduce_worst = max(reduce_worst, *reducing_residual(m1, sub),
                            *reducing_residual(m2, sub))
-        role = []
-        wanders = []
-        for m in (m1, m2):
-            defect = unitarity_defect(sub.basis.conj().T @ m @ sub.basis)
-            role.append("unitary" if defect <= 1e-8 else "shift")
-            wanders.append(wandering_subspace(m, sub).dim)
-        labels[key] = tuple(role)
-        fibers[key] = tuple(wanders)
+        defects = [unitarity_defect(sub.basis.conj().T @ m @ sub.basis)
+                   for m in (m1, m2)]
+        role = tuple("unitary" if d <= 1e-8 else "shift" for d in defects)
+        w1, w2 = (wandering_subspace(m, sub) for m in (m1, m2))
+        labels[key] = role
+        fibers[key] = (w1.dim, w2.dim)
         consts[key] = None
-        if labels[key] == ("unitary", "shift"):
-            w = wandering_subspace(m2, sub)
-            consts[key] = w.basis.conj().T @ m1 @ w.basis
-        elif labels[key] == ("shift", "unitary"):
-            w = wandering_subspace(m1, sub)
-            consts[key] = w.basis.conj().T @ m2 @ w.basis
+        if role == ("unitary", "shift"):
+            consts[key] = w2.basis.conj().T @ m1 @ w2.basis
+        elif role == ("shift", "unitary"):
+            consts[key] = w1.basis.conj().T @ m2 @ w1.basis
     return SlocinskiDecomposition(
         parts=parts, dims=dims, labels=labels, fiber_dims=fibers,
         constant_symbols=consts,
@@ -720,7 +721,7 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     dim_b = orthonormalize(h_inf.projector() @ k2.basis).dim if k2.dim else 0
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
-    rep = verdict_battery(p, n_levels=2)
+    rep = p.verdict_report
     return FinitenessReport(dim_a=dim_a, dim_b=dim_b, spectrum_card=card,
                             verdict=rep.verdict, r_iii=rep.r_iii)
 
@@ -746,15 +747,17 @@ def tensor_shift_pair(n1: int, n2: int) -> OperatorPair:
     return validate_pair(s1, s2, "isometry", _probe_from_mask(space, mask))
 
 
-def biunitary_pair(dim: int, seed: int) -> OperatorPair:
-    """Random commuting unitary pair (common eigenbasis, random phases)."""
-    rng = np.random.default_rng(seed)
+def _commuting_unitaries(rng: np.random.Generator, dim: int) -> tuple:
+    """Two unitaries sharing one random eigenbasis, with random phases."""
     q = np.linalg.qr(rng.normal(size=(dim, dim))
                      + 1j * rng.normal(size=(dim, dim)))[0]
-    d1 = np.exp(2j * np.pi * rng.random(dim))
-    d2 = np.exp(2j * np.pi * rng.random(dim))
-    m1 = q @ np.diag(d1) @ q.conj().T
-    m2 = q @ np.diag(d2) @ q.conj().T
+    return tuple(q @ np.diag(np.exp(2j * np.pi * rng.random(dim))) @ q.conj().T
+                 for _ in range(2))
+
+
+def biunitary_pair(dim: int, seed: int) -> OperatorPair:
+    """Random commuting unitary pair (common eigenbasis, random phases)."""
+    m1, m2 = _commuting_unitaries(np.random.default_rng(seed), dim)
     sp = abstract_space(dim)
     s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp)
     s2 = GradedOperator(matrix=m2, domain=sp, codomain=sp)
@@ -769,8 +772,6 @@ def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
     s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp, growth=0,
                         window=degree)
     s2 = compress(shift(1, degree))
-    s2 = GradedOperator(matrix=s2.matrix, domain=sp, codomain=sp, growth=1,
-                        window=degree - 1)
     mask = sp.degrees_array() <= degree - 1
     return validate_pair(s1, s2, "isometry", _probe_from_mask(sp, mask))
 
@@ -789,10 +790,7 @@ def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
     from .symbols import blaschke
 
     rng = np.random.default_rng(seed)
-    qu = np.linalg.qr(rng.normal(size=(uu_dim, uu_dim))
-                      + 1j * rng.normal(size=(uu_dim, uu_dim)))[0]
-    v1 = qu @ np.diag(np.exp(2j * np.pi * rng.random(uu_dim))) @ qu.conj().T
-    v2 = qu @ np.diag(np.exp(2j * np.pi * rng.random(uu_dim))) @ qu.conj().T
+    v1, v2 = _commuting_unitaries(rng, uu_dim)
     psi = np.exp(2j * np.pi * rng.random())
     n_zeros = int(rng.integers(1, 3))
     zeros = (zero_cap * np.sqrt(rng.random(n_zeros))
@@ -840,10 +838,7 @@ def four_block_pair(seed: int, uu_dim: int = 2, f_degree: int = 6,
                     g_degree: int = 6, bidegree: int = 5) -> tuple:
     """Direct sum exercising all four doubly commuting part types."""
     rng = np.random.default_rng(seed)
-    qu = np.linalg.qr(rng.normal(size=(uu_dim, uu_dim))
-                      + 1j * rng.normal(size=(uu_dim, uu_dim)))[0]
-    v1 = qu @ np.diag(np.exp(2j * np.pi * rng.random(uu_dim))) @ qu.conj().T
-    v2 = qu @ np.diag(np.exp(2j * np.pi * rng.random(uu_dim))) @ qu.conj().T
+    v1, v2 = _commuting_unitaries(rng, uu_dim)
     alpha = float(2 * np.pi * rng.random())
     beta = float(2 * np.pi * rng.random())
     us = constant_shift_pair(alpha, f_degree)

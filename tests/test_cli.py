@@ -10,6 +10,7 @@ import pytest
 
 from woldlab.cli import DEFAULT_TOLERANCES, validate_config
 from woldlab.errors import SchemaError
+from woldlab.pairs import construct_example, verdict_battery
 
 HALF = {"symbol": {"kind": "polynomial", "coeffs": [[0.0, 0.0], [0.5, 0.0]]}}
 INNER = {"symbol": {"kind": "blaschke", "zeros": [[0.5, 0.0]]}}
@@ -187,6 +188,38 @@ def test_model_decompose_handles_inner_symbol(tmp_path):
     assert proc.returncode == 0
     level = _report(out)["levels"][0]
     assert level["reconstruction_residual"]["value"] <= 1e-8
+
+
+def test_model_decompose_warns_on_residual_above_tolerance(tmp_path):
+    # one zero at 0.4: the dropped coefficient tail shows as residual at
+    # level 16 (about 3.9e-7) and has decayed below 1e-8 by level 24
+    cfg = {"symbol": {"kind": "blaschke", "zeros": [[0.4, 0.0]]},
+           "levels": [16, 24]}
+    proc, out = _invoke("model-decompose", cfg, tmp_path)
+    assert proc.returncode == 0
+    rep = _report(out)
+    low, high = rep["levels"]
+    value = low["reconstruction_residual"]["value"]
+    assert value > 1e-8 >= high["reconstruction_residual"]["value"]
+    assert high["toeplitz_residual"]["value"] <= 1e-8
+    flagged = [w for w in rep["warnings"] if "exceeds" in w]
+    assert flagged == [f"degree 16: reconstruction_residual {value:.3e} "
+                       f"exceeds its tolerance 1.000e-08"]
+
+
+@pytest.mark.parametrize("command, config", [("verdict", HALF),
+                                             ("model-decompose", INNER)])
+def test_decay_rows_are_the_battery_top_level_r_v(tmp_path, command, config):
+    cfg = dict(config, levels=[16, 24])
+    proc, out = _invoke(command, cfg, tmp_path, "--csv")
+    assert proc.returncode in (0, 2)
+    with open(out / "decay.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    sym = validate_config(json.dumps(cfg)).symbol
+    assert [row[0] for row in rows] == ["16", "24"]
+    for row, level in zip(rows, (16, 24)):
+        top = verdict_battery(construct_example(sym, level)).r_v[-1]
+        assert row[1:] == ["%.17g" % x for x in top]
 
 
 def test_moments_report_is_deterministic(tmp_path):

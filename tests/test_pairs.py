@@ -257,6 +257,39 @@ def test_pair_computes_its_first_hyper_range_once(monkeypatch):
     assert sum(calls) == 1
 
 
+def test_pair_runs_its_verdict_battery_once(monkeypatch):
+    pair, _ = three_part_pair(1, degree=40)
+    real = woldlab.pairs.verdict_battery
+    calls = []
+
+    def counting(p, *args, **kwargs):
+        calls.append(p is pair)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "verdict_battery", counting)
+    fc = finiteness_checks(pair)
+    model_decomposition(pair)
+    assert sum(calls) == 1
+    assert fc.r_iii == pair.verdict_report.r_iii
+
+
+def test_slocinski_computes_each_wandering_subspace_once(monkeypatch):
+    pair, _ = four_block_pair(1)
+    real = woldlab.pairs.wandering_subspace
+    calls = []
+
+    def counting(t, sub, *args, **kwargs):
+        calls.append((id(t), id(sub)))
+        return real(t, sub, *args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "wandering_subspace", counting)
+    sl = slocinski(pair)
+    nonempty = sum(1 for d in sl.dims.values() if d)
+    assert nonempty == 4
+    assert len(calls) == 2 * nonempty
+    assert len(set(calls)) == len(calls)
+
+
 def test_pair_computes_its_first_unitary_part_once(monkeypatch):
     pair, _ = four_block_pair(1)
     real = woldlab.pairs.unitary_part
