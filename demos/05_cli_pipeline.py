@@ -12,28 +12,27 @@ import tempfile
 
 from woldlab.cli import main
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="woldlab-demo-"))
-config = workdir / "config.json"
-config.write_text(json.dumps({
-    "symbol": {"kind": "polynomial", "coeffs": [[0.5, 0.0], [0.5, 0.0]]},
-    "levels": [16, 24],
-    "k_max": 12,
-}))
+with tempfile.TemporaryDirectory(prefix="woldlab-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    config = workdir / "config.json"
+    config.write_text(json.dumps({
+        "symbol": {"kind": "polynomial", "coeffs": [[0.5, 0.0], [0.5, 0.0]]},
+        "levels": [16, 24],
+        "k_max": 12,
+    }))
 
-for command in ("verdict", "moments"):
-    out = workdir / command
-    code = main([command, "--config", str(config), "--out", str(out),
-                 "--csv"])
-    report = json.loads((out / "report.json").read_text())
-    print(f"{command}: exit {code}")
-    for warning in report["warnings"]:
-        print(f"  warning: {warning}")
-    for level in report["levels"]:
-        keys = sorted(k for k in level if isinstance(level[k], dict)
-                      and "value" in level[k])
-        shown = ", ".join(f"{k}={level[k]['value']:.3e}" for k in keys[:3])
-        print(f"  degree {level['degree']}: {shown}")
-    print(f"  files: {sorted(p.name for p in out.iterdir())}")
-    print()
-
-print(f"artifacts kept under {workdir}")
+    for command in ("verdict", "moments"):
+        out = workdir / command
+        code = main([command, "--config", str(config), "--out", str(out),
+                     "--csv"])
+        report = json.loads((out / "report.json").read_text())
+        print(f"{command}: exit {code}")
+        for warning in report["warnings"]:
+            print(f"  warning: {warning}")
+        for level in report["levels"]:
+            keys = sorted(k for k in level if isinstance(level[k], dict)
+                          and "value" in level[k])
+            shown = ", ".join(f"{k}={level[k]['value']:.3e}" for k in keys[:3])
+            print(f"  degree {level['degree']}: {shown}")
+        print(f"  files: {sorted(p.name for p in out.iterdir())}")
+        print()

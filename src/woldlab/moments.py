@@ -13,6 +13,7 @@ large misfit forces the corresponding spectral part to be trivial.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,9 @@ def nnls_projected(a: np.ndarray, b: np.ndarray, max_iter: int = 10000,
 
     Minimizes ``norm(a x - b)`` over ``x >= 0`` with a fixed step of one
     over the Lipschitz constant of the gradient, stopping when an iterate
-    moves by less than ``tol`` in the infinity norm.
+    moves by less than ``tol`` in the infinity norm. Stopping at
+    ``max_iter`` instead emits a ``RuntimeWarning`` that names the cap and
+    the last step.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -225,6 +228,7 @@ def nnls_projected(a: np.ndarray, b: np.ndarray, max_iter: int = 10000,
         return np.zeros(a.shape[1])
     step = 1.0 / lip
     x = np.zeros(a.shape[1])
+    delta = np.inf
     for _ in range(max_iter):
         grad = 2.0 * (ata @ x - atb)
         nxt = np.maximum(x - step * grad, 0.0)
@@ -232,6 +236,12 @@ def nnls_projected(a: np.ndarray, b: np.ndarray, max_iter: int = 10000,
         x = nxt
         if delta < tol:
             break
+    else:
+        warnings.warn(
+            f"nnls_projected stopped at max_iter={max_iter} before "
+            f"converging: last step {delta:.3e}, tolerance {tol:.1e}",
+            RuntimeWarning, stacklevel=2,
+        )
     return x
 
 

@@ -166,12 +166,38 @@ def _window_subspace(space: TruncatedSpace, window: int) -> Subspace:
 def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
     """Common range of all powers.
 
-    For a square matrix this is the limit of the nested ranges of T^n,
-    n = 1..n_max, with early exit once two consecutive ranges agree to
-    within ``tol`` in subspace distance; the matrix is taken at face value,
-    so invertible inputs return the full space. For a graded operator each
-    power burns ``growth`` degrees of the trusted window, and the ranges
-    are intersected with the shrinking window.
+    For a square matrix with an explicit ``n_max`` this is the limit of
+    the nested ranges of T^n, n = 1..n_max: each step keeps the singular
+    directions of ``T Q`` above ``tol`` times its largest singular value,
+    and the iteration exits early once two consecutive ranges agree to
+    within ``tol`` in subspace distance. The matrix is taken at face
+    value, so invertible inputs return the full space.
+
+    Without ``n_max`` the same limit is computed by deflation, which runs
+    the nested iteration only where the ranges still shrink:
+
+    1. Guess ``H = range(T^N)`` with ``N = 2^ceil(log2(n + 1))``, which
+       exceeds every nilpotency index, by repeated squaring of ``T/||T||``
+       rescaled after each squaring, and cut its rank at ``tol``.
+    2. Accept the guess only if three guards hold; otherwise, or if the
+       guess is empty, run the nested iteration on T with ``n_max = n +
+       1``. The guards: no singular value of the scaled ``T^N`` lies
+       within a factor of 10 of the cut; ``T`` restricted to ``H`` is well
+       conditioned (its smallest singular value exceeds
+       ``10 * tol * ||T||``); and the invariance leak
+       ``||(I - P_H) T P_H||`` is at most ``tol * ||T||``.
+    3. Then ``T`` is block upper triangular over ``H (+) H^perp`` with an
+       invertible ``T|H``, so the hyper-range is ``H`` plus the
+       hyper-range of the compression ``C`` of ``T`` to ``H^perp``, found
+       by the nested iteration on ``C``. Every rank cut on ``C`` is
+       anchored at ``tol * ||T||``, the scale of the first cut the nested
+       iteration on ``T`` makes, not at ``C``'s own largest singular
+       value: relative to a nilpotent ``C``'s own scale, its
+       rounding-level last powers would survive the cut.
+
+    For a graded operator each power burns ``growth`` degrees of the
+    trusted window, and the ranges are intersected with the shrinking
+    window.
 
     Raises
     ------
@@ -184,16 +210,63 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    cap = m.shape[0] + 1 if n_max is None else n_max
-    if cap < 1:
+    if n_max is None:
+        return _deflated_range(m, tol)
+    if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    cur = orthonormalize(m, tol)
+    return _nested_range(m, n_max, tol)
+
+
+def _nested_range(m: np.ndarray, cap: int, tol: float,
+                  scale: float = 0.0) -> Subspace:
+    """Nested ranges of ``m^k``, k = 1..cap, until two consecutive agree.
+
+    Each step keeps the singular directions of ``m Q`` above ``tol`` times
+    the larger of its own top singular value and ``scale``.
+    """
+
+    def span(a: np.ndarray) -> Subspace:
+        sub = orthonormalize(a, tol)
+        if scale:
+            # the gain of each kept direction is its singular value
+            gains = np.linalg.norm(a.conj().T @ sub.basis, axis=0)
+            sub = Subspace(sub.basis[:, gains > tol * scale], tol)
+        return sub
+
+    cur = span(m)
     for _ in range(cap - 1):
-        nxt = orthonormalize(m @ cur.basis, tol)
+        nxt = span(m @ cur.basis)
         if nxt.dim == cur.dim and subspace_distance(nxt, cur) <= tol:
             return nxt
         cur = nxt
     return cur
+
+
+def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
+    """Hyper-range of a plain matrix by deflation; see ``hyper_range``."""
+    n = m.shape[0]
+    norm = operator_norm(m)
+    if norm == 0.0:
+        return _nested_range(m, n + 1, tol)
+    power = m / norm
+    for _ in range(n.bit_length()):
+        power = power @ power
+        top = np.abs(power).max()
+        if top == 0.0:
+            break
+        power = power / top
+    u, s, _ = np.linalg.svd(power)
+    cut = tol * s[0]
+    h = int(np.sum(s > cut))
+    if h == 0 or s[h - 1] <= 10.0 * cut or (h < n and s[h] > cut / 10.0):
+        return _nested_range(m, n + 1, tol)
+    blocks = u.conj().T @ m @ u
+    smallest = np.linalg.svd(blocks[:h, :h], compute_uv=False)[-1]
+    leak = operator_norm(blocks[h:, :h])
+    if smallest <= 10.0 * tol * norm or leak > tol * norm:
+        return _nested_range(m, n + 1, tol)
+    rest = _nested_range(blocks[h:, h:], n - h + 1, tol, scale=norm)
+    return Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol)
 
 
 def _hyper_range_graded(op: GradedOperator, n_max: int | None,

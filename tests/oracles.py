@@ -5,9 +5,10 @@ module it validates: intersections via averaged projectors instead of
 stacked-complement SVDs, defect weights via dense quadrature instead of
 coefficient autocorrelation, unitary parts via one big stacked nullspace
 instead of iterated preimages, Wold ladder audits one rung pair and one
-window coordinate at a time instead of through one stacked basis, and
-nonnegative least squares via scipy's active-set solver instead of
-projected gradients.
+window coordinate at a time instead of through one stacked basis,
+hyper-ranges of plain matrices by nested range steps on the whole matrix
+instead of deflation, and nonnegative least squares via scipy's
+active-set solver instead of projected gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
-from woldlab.linalg import Subspace, operator_norm, orthonormalize
+from woldlab.linalg import (Subspace, as_matrix, operator_norm, orthonormalize,
+                            subspace_distance)
 from woldlab.symbols import SchurSymbol, evaluate
 
 
@@ -98,6 +100,25 @@ def ladder_audits_pairwise(ladder: list, hyper: Subspace,
             rec = rec + p @ h
         worst = max(worst, float(np.linalg.norm(h - rec)))
     return worst, cross
+
+
+def hyper_range_nested(t, n_max: int | None = None,
+                       tol: float = 1e-10) -> Subspace:
+    """Limit of the nested ranges of T^n, n = 1..n_max, on the whole matrix.
+
+    Each step keeps the singular directions of ``T Q`` above ``tol`` times
+    its own largest singular value, with early exit once two consecutive
+    ranges agree to within ``tol``; ``n_max`` defaults to ``n + 1``.
+    """
+    m = as_matrix(t, "operator")
+    cap = m.shape[0] + 1 if n_max is None else n_max
+    cur = orthonormalize(m, tol)
+    for _ in range(cap - 1):
+        nxt = orthonormalize(m @ cur.basis, tol)
+        if nxt.dim == cur.dim and subspace_distance(nxt, cur) <= tol:
+            return nxt
+        cur = nxt
+    return cur
 
 
 def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

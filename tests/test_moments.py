@@ -130,3 +130,12 @@ def test_projected_gradient_matches_reference_nnls():
         assert np.all(mine >= 0)
         gap = np.linalg.norm(a @ mine - b) - np.linalg.norm(a @ ref - b)
         assert gap <= 1e-8
+
+
+def test_projected_gradient_warns_at_its_iteration_cap():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(8, 5))
+    b = rng.normal(size=8)
+    with pytest.warns(RuntimeWarning, match=r"max_iter=1\b.*last step"):
+        x = nnls_projected(a, b, max_iter=1)
+    assert np.all(x >= 0)

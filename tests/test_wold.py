@@ -8,11 +8,13 @@ from woldlab.errors import DomainError, PrecisionError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
 from woldlab.linalg import subspace_distance
+from woldlab.pairs import construct_example, three_part_pair
 from woldlab.symbols import blaschke, constant, polynomial
 from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
                           shimorin_condition, unitary_part, wold_split)
 
-from oracles import ladder_audits_pairwise, unitary_part_stacked
+from oracles import (hyper_range_nested, ladder_audits_pairwise,
+                     unitary_part_stacked)
 
 
 def _random_contraction(rng, n):
@@ -80,6 +82,102 @@ def test_hyper_range_of_nilpotent_matrix_is_trivial():
 
 def test_hyper_range_of_scalar_half_is_full():
     assert hyper_range(np.array([[0.5]])).dim == 1
+
+
+def _scrambled(core, seed):
+    rng = np.random.default_rng(seed)
+    n = core.shape[0]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q @ core @ q.conj().T
+
+
+def _unitary_plus_jordan(k, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return _scrambled(sla.block_diag(u, np.eye(k, k=-1)), seed + 1)
+
+
+def _leaky_guess():
+    # T^8 has a wide gap at the rank cut and T is well conditioned on its
+    # range, but the strongly non-normal Jordan block (eigenvalue 0.05)
+    # leaves that range about 4e-6 * ||T|| away from invariance
+    core = np.zeros((4, 4), dtype=np.complex128)
+    core[0] = 1.0
+    core[1:, 1:] = 0.05 * np.eye(3) + 5.0 * np.eye(3, k=1)
+    return _scrambled(core, 0)
+
+
+def _random_noncontraction():
+    rng = np.random.default_rng(21)
+    return 3.0 * (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
+
+
+_HYPER_RANGE_INPUTS = {
+    **{f"polynomial-{d}": (lambda d=d: construct_example(
+        polynomial([0.5, 0.5]), d).s1.matrix) for d in (16, 32, 48, 64)},
+    **{f"blaschke-{d}": (lambda d=d: construct_example(
+        blaschke([0.35, -0.3j]), d).s1.matrix) for d in (16, 64)},
+    **{f"constant-{d}": (lambda d=d: construct_example(
+        constant(np.array([[1j]])), d).s1.matrix) for d in (16, 64)},
+    "three-part-7": lambda: three_part_pair(7, degree=64)[0].s1.matrix,
+    "three-part-8": lambda: three_part_pair(8, degree=64,
+                                            uu_dim=3)[0].s1.matrix,
+    "tiny-direction": lambda: np.diag([1.0, 1e-11]),
+    "scalar-half-block": lambda: np.diag([1.0] + [0.5] * 70),
+    "random-noncontraction": _random_noncontraction,
+    "scrambled-unitary-plus-jordan": lambda: _unitary_plus_jordan(24, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HYPER_RANGE_INPUTS))
+def test_hyper_range_matches_nested_oracle(name):
+    t = _HYPER_RANGE_INPUTS[name]()
+    got = hyper_range(t)
+    want = hyper_range_nested(t)
+    assert got.dim == want.dim
+    assert subspace_distance(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    _leaky_guess,
+    # T^4 keeps a singular value three times the cut, inside its margin
+    lambda: _scrambled(np.diag([1.0, 3e-10 ** 0.25]), 4),
+    # the rescaled powers of a nilpotent matrix are rounding noise, and T
+    # is singular on their range
+    lambda: _scrambled(np.eye(24, k=-1), 2),
+], ids=["leaky-guess", "thin-cut", "scrambled-jordan"])
+def test_hyper_range_falls_back_when_a_guard_fails(make):
+    # the fallback is the nested iteration itself, so it agrees bitwise
+    t = make()
+    assert np.array_equal(hyper_range(t).basis, hyper_range_nested(t).basis)
+
+
+def test_hyper_range_with_explicit_n_max_is_the_nested_iteration():
+    t = construct_example(polynomial([0.5, 0.5]), 16).s1.matrix
+    for n_max in (1, 5, t.shape[0] + 1):
+        assert np.array_equal(hyper_range(t, n_max=n_max).basis,
+                              hyper_range_nested(t, n_max=n_max).basis)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_example(polynomial([0.5, 0.5]), 48).s1.matrix,
+    lambda: three_part_pair(7, degree=64)[0].s1.matrix,
+], ids=["polynomial-48", "three-part-7"])
+def test_hyper_range_runs_nested_steps_only_on_the_remainder(make,
+                                                             monkeypatch):
+    t = make()
+    n = t.shape[0]
+    heights = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        heights.append(np.shape(a)[0])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    hyper = hyper_range(t)
+    assert heights.count(n) <= 3
+    assert heights.count(n - hyper.dim) >= 10
 
 
 def test_graded_hyper_range_stabilizes_for_unitary_symbol():
