@@ -16,6 +16,7 @@ runs out before the ranges stabilize.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .linalg import (
     Subspace,
     as_matrix,
     complement,
-    full_subspace,
     gram_defect,
     intersect,
     kernel,
@@ -99,21 +99,29 @@ def as_graded(t) -> GradedOperator:
     return GradedOperator(matrix=m, domain=sp, codomain=sp, growth=0, window=0)
 
 
-def _preimage(t: np.ndarray, s: Subspace, tol: float) -> Subspace:
-    """Vectors mapped into ``s`` by ``t``, with no inversion of ``t``."""
-    perp = complement(s)
-    if perp.dim == 0:
-        return full_subspace(t.shape[1])
-    return complement(orthonormalize(t.conj().T @ perp.basis, tol))
-
-
 def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     """Largest subspace on which a contraction acts unitarily.
 
-    Starts from the vectors where both ``I - T^H T`` and ``I - T T^H``
-    vanish and repeatedly intersects with the preimages under the operator
-    and its adjoint until the subspace stabilizes. The completely
-    nonunitary part is the orthogonal complement.
+    The completely nonunitary part is the smallest subspace that contains
+    the defect ranges ``ran(I - T^H T) + ran(I - T T^H)`` and is invariant
+    under both ``T`` and ``T^H`` (Sz.-Nagy--Foias); it is grown as one
+    orthonormal basis, and the unitary part is its complement.
+
+    The first block is the complement of the joint kernel of the two
+    defects, ``kernel(I - T^H T) & kernel(I - T T^H)``. Each round stacks
+    ``[T F, T^H F]`` for the newest block ``F`` and makes two cuts:
+
+    1. the stack keeps its singular directions above ``tol * ||T||``; the
+       cut is anchored at the operator's norm, not at the stack's own
+       largest singular value, so a stack of rounding noise (``T F`` and
+       ``T^H F`` both zero in exact arithmetic) adds no direction;
+    2. the current basis is projected out twice, and a direction joins the
+       basis as part of the next block only if its residual singular value
+       exceeds ``sqrt(2 * tol)``, the sine at which ``intersect`` stops
+       keeping a cosine of ``1 - tol``.
+
+    The rounds stop when a round adds no direction or the basis fills the
+    space.
 
     Parameters
     ----------
@@ -127,6 +135,13 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     DomainError
         If the input is not square or not a contraction; the message names
         the offending norm.
+
+    Warns
+    -----
+    RuntimeWarning
+        If a residual singular value lies within a factor of 10 of the
+        ``sqrt(2 * tol)`` cut; the message names the round, the value and
+        the cut.
     """
     m = as_matrix(t, "contraction")
     if m.shape[0] != m.shape[1]:
@@ -136,24 +151,37 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
         raise DomainError(f"not a contraction: operator norm {norm:.12g}")
     n = m.shape[0]
     eye = np.eye(n)
-    cur = intersect(kernel(eye - m.conj().T @ m, tol),
-                    kernel(eye - m @ m.conj().T, tol))
-    for _ in range(n + 1):
-        if cur.dim == 0:
-            break
-        nxt = intersect(cur, _preimage(m, cur, tol))
-        nxt = intersect(nxt, _preimage(m.conj().T, cur, tol))
-        if nxt.dim == cur.dim and subspace_distance(nxt, cur) <= tol:
-            cur = nxt
-            break
-        cur = nxt
-    block = cur.basis.conj().T @ m @ cur.basis
+    start = intersect(kernel(eye - m.conj().T @ m, tol),
+                      kernel(eye - m @ m.conj().T, tol))
+    block = complement(start).basis
+    basis = block
+    cut = np.sqrt(2.0 * tol)
+    rounds = 0
+    while block.shape[1] and basis.shape[1] < n:
+        rounds += 1
+        u, s, _ = np.linalg.svd(np.hstack([m @ block, m.conj().T @ block]),
+                                full_matrices=False)
+        grown = u[:, s > tol * norm]
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        thin = s[(s > cut / 10.0) & (s < 10.0 * cut)]
+        if thin.size:
+            warnings.warn(
+                f"unitary_part: round {rounds} has residual singular value "
+                f"{thin[0]:.3e} within 10x of the cut {cut:.3e}",
+                RuntimeWarning, stacklevel=2)
+        block = u[:, s > cut]
+        basis = np.hstack([basis, block])
+    cnu = Subspace(basis, tol)
+    unitary = complement(cnu)
+    unitary_block = unitary.basis.conj().T @ m @ unitary.basis
     return CanonicalDecomposition(
-        unitary_part=cur,
-        cnu_part=complement(cur),
-        unitary_block=block,
-        reducing_defect=reducing_residual(m, cur),
-        unitarity_defect=unitarity_defect(block),
+        unitary_part=unitary,
+        cnu_part=cnu,
+        unitary_block=unitary_block,
+        reducing_defect=reducing_residual(m, unitary),
+        unitarity_defect=unitarity_defect(unitary_block),
     )
 
 

@@ -4,11 +4,12 @@ Each oracle deliberately takes a different computational route from the
 module it validates: intersections via averaged projectors instead of
 stacked-complement SVDs, defect weights via dense quadrature instead of
 coefficient autocorrelation, unitary parts via one big stacked nullspace
-instead of iterated preimages, Wold ladder audits one rung pair and one
-window coordinate at a time instead of through one stacked basis,
-hyper-ranges of plain matrices by nested range steps on the whole matrix
-instead of deflation, and nonnegative least squares via scipy's
-active-set solver instead of projected gradients.
+or via iterated preimages (``unitary_part_iterated``, the library's former
+route) instead of one closure of the defect ranges, Wold ladder audits one
+rung pair and one window coordinate at a time instead of through one
+stacked basis, hyper-ranges of plain matrices by nested range steps on the
+whole matrix instead of deflation, and nonnegative least squares via
+scipy's active-set solver instead of projected gradients.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
-from woldlab.linalg import (Subspace, as_matrix, operator_norm, orthonormalize,
+from woldlab.linalg import (Subspace, as_matrix, complement, full_subspace,
+                            intersect, kernel, operator_norm, orthonormalize,
                             subspace_distance)
 from woldlab.symbols import SchurSymbol, evaluate
 
@@ -71,6 +73,38 @@ def unitary_part_stacked(t: np.ndarray) -> Subspace:
     _, s, vh = np.linalg.svd(stack)
     rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
     return orthonormalize(vh[rank:].conj().T)
+
+
+def _preimage(t: np.ndarray, s: Subspace, tol: float) -> Subspace:
+    """Vectors mapped into ``s`` by ``t``, with no inversion of ``t``."""
+    perp = complement(s)
+    if perp.dim == 0:
+        return full_subspace(t.shape[1])
+    return complement(orthonormalize(t.conj().T @ perp.basis, tol))
+
+
+def unitary_part_iterated(t, tol: float = 1e-10) -> Subspace:
+    """Largest unitary-reducing subspace by iterated preimages.
+
+    Starts from the vectors where both ``I - T^H T`` and ``I - T T^H``
+    vanish and repeatedly intersects with the preimages under the operator
+    and its adjoint until the subspace stabilizes.
+    """
+    m = as_matrix(t, "contraction")
+    n = m.shape[0]
+    eye = np.eye(n)
+    cur = intersect(kernel(eye - m.conj().T @ m, tol),
+                    kernel(eye - m @ m.conj().T, tol))
+    for _ in range(n + 1):
+        if cur.dim == 0:
+            break
+        nxt = intersect(cur, _preimage(m, cur, tol))
+        nxt = intersect(nxt, _preimage(m.conj().T, cur, tol))
+        if nxt.dim == cur.dim and subspace_distance(nxt, cur) <= tol:
+            cur = nxt
+            break
+        cur = nxt
+    return cur
 
 
 def ladder_audits_pairwise(ladder: list, hyper: Subspace,

@@ -1,20 +1,25 @@
 """Unitary/cnu splits, hyper-ranges, and wandering ladders."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from woldlab.errors import DomainError, PrecisionError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
-from woldlab.linalg import subspace_distance
-from woldlab.pairs import construct_example, three_part_pair
+from woldlab.linalg import Subspace, subspace_distance
+from woldlab.pairs import (biunitary_pair, construct_example, four_block_pair,
+                           tensor_shift_pair, three_part_pair)
 from woldlab.symbols import blaschke, constant, polynomial
 from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
                           shimorin_condition, unitary_part, wold_split)
 
 from oracles import (hyper_range_nested, ladder_audits_pairwise,
-                     unitary_part_stacked)
+                     unitary_part_iterated, unitary_part_stacked)
 
 
 def _random_contraction(rng, n):
@@ -22,9 +27,10 @@ def _random_contraction(rng, n):
     return m / max(np.linalg.svd(m, compute_uv=False)[0], 1.0)
 
 
-def test_unitary_part_matches_stacked_nullspace_oracle():
+def _seeded_contractions():
+    """Twenty small contractions, every third with a planted unitary block."""
     rng = np.random.default_rng(11)
-    worst = 0.0
+    out = []
     for i in range(20):
         n = int(rng.integers(2, 7))
         m = _random_contraction(rng, n)
@@ -35,6 +41,13 @@ def test_unitary_part_matches_stacked_nullspace_oracle():
             m[:k, :k] = q
             m[:k, k:] = 0
             m[k:, :k] = 0
+        out.append(m)
+    return out
+
+
+def test_unitary_part_matches_stacked_nullspace_oracle():
+    worst = 0.0
+    for m in _seeded_contractions():
         dec = unitary_part(m)
         oracle = unitary_part_stacked(m)
         assert dec.unitary_part.dim == oracle.dim
@@ -43,7 +56,7 @@ def test_unitary_part_matches_stacked_nullspace_oracle():
     assert worst <= 1e-8
 
 
-def test_unitary_part_finds_conjugated_rotation_block():
+def _conjugated_rotation():
     rng = np.random.default_rng(7)
     theta = 0.3
     t = np.zeros((3, 3), dtype=np.complex128)
@@ -51,11 +64,139 @@ def test_unitary_part_finds_conjugated_rotation_block():
                  [np.sin(theta), np.cos(theta)]]
     t[2, 2] = 0.5
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    dec = unitary_part(q @ t @ q.conj().T)
+    return q @ t @ q.conj().T
+
+
+def test_unitary_part_finds_conjugated_rotation_block():
+    dec = unitary_part(_conjugated_rotation())
     assert dec.unitary_part.dim == 2
     assert dec.cnu_part.dim == 1
     assert dec.unitarity_defect <= 1e-10
     assert max(dec.reducing_defect) <= 1e-10
+
+
+_UNITARY_PART_INPUTS = {
+    **{f"three-part-{s}": (lambda s=s: three_part_pair(
+        s, degree=56)[0].s1.matrix) for s in range(4)},
+    "four-block": lambda: four_block_pair(1, 2, 10, 10, 8)[0].s1.matrix,
+    "tensor-shift": lambda: tensor_shift_pair(9, 9).s1.matrix,
+    "biunitary": lambda: biunitary_pair(3, 5).s1.matrix,
+    "conjugated-rotation": _conjugated_rotation,
+    **{f"contraction-{i}": (lambda i=i: _seeded_contractions()[i])
+       for i in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNITARY_PART_INPUTS))
+def test_unitary_part_matches_iterated_preimage_oracle(name):
+    t = _UNITARY_PART_INPUTS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = unitary_part(t)
+    want = unitary_part_iterated(t)
+    assert got.unitary_part.dim == want.dim
+    assert got.cnu_part.dim == t.shape[0] - want.dim
+    assert subspace_distance(got.unitary_part, want) <= 1e-12
+
+
+def test_unitary_part_runs_no_full_width_svd_per_round(monkeypatch):
+    t = three_part_pair(0, degree=56)[0].s1.matrix
+    wide = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[1] > 8:
+            wide.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    dec = unitary_part(t)
+    assert dec.cnu_part.dim == 57
+    assert len(wide) <= 10
+
+
+def _rotation_coupling(theta):
+    # g is isometric and coisometric, f and f' carry the two defects, and
+    # T sends f to sin(theta) g + cos(theta) f', so g leaks into the cnu
+    # part at angle theta: T = [[c, s, 0], [0, 0, 0], [-s, c, 0]]
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s, 0.0], [0.0, 0.0, 0.0], [-s, c, 0.0]],
+                    dtype=np.complex128)
+
+
+def test_unitary_part_warns_on_a_cut_inside_the_thin_margin():
+    # the first round's residual is sqrt(2) * sin(theta) ~ 7.1e-6, half the
+    # cut sqrt(2e-10) ~ 1.41e-5, so g stays unitary, but not silently
+    with pytest.warns(RuntimeWarning,
+                      match=r"round 1 .* 7\.07\de-06 .* cut 1\.414e-05"):
+        dec = unitary_part(_rotation_coupling(5e-6))
+    assert dec.unitary_part.dim == unitary_part_iterated(
+        _rotation_coupling(5e-6)).dim == 1
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3])
+def test_unitary_part_is_silent_far_from_the_cut(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = unitary_part(_rotation_coupling(theta))
+    assert dec.unitary_part.dim == (1 if theta == 0.0 else 0)
+
+
+def _haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _planted(seed, n, k, scale):
+    """Scrambled ``U (+) C`` with a k-dim unitary U and ||C|| = scale < 1."""
+    rng = np.random.default_rng(seed)
+    core = np.zeros((n, n), dtype=np.complex128)
+    core[:k, :k] = _haar_unitary(rng, k)
+    c = rng.normal(size=(n - k, n - k)) + 1j * rng.normal(size=(n - k, n - k))
+    core[k:, k:] = scale * c / np.linalg.norm(c, 2)
+    q = _haar_unitary(rng, n)
+    return q @ core @ q.conj().T
+
+
+def test_unitary_part_keeps_a_unitary_block_beside_a_zero_block():
+    # T F and T^H F are rounding noise on the zero block; a cut relative to
+    # their own size (the iterated preimages) turns that noise into cnu
+    # directions and loses the whole unitary block
+    t = _planted(0, 4, 2, 0.0)
+    dec = unitary_part(t)
+    assert dec.unitary_part.dim == unitary_part_stacked(t).dim == 2
+    assert unitary_part_iterated(t).dim == 0
+    assert dec.unitarity_defect <= 1e-10
+    assert max(dec.reducing_defect) <= 1e-10
+
+
+_PLANTED = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.integers(0, 2 ** 32 - 1), st.just(n), st.integers(0, n - 1),
+    st.floats(0.0, 0.95)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_PLANTED)
+def test_unitary_part_property_matches_stacked_oracle(case):
+    seed, n, k, scale = case
+    t = _planted(seed, n, k, scale)
+    dec = unitary_part(t)
+    oracle = unitary_part_stacked(t)
+    assert dec.unitary_part.dim == oracle.dim == k
+    assert subspace_distance(dec.unitary_part, oracle) <= 1e-8
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_PLANTED, st.integers(0, 2 ** 32 - 1))
+def test_unitary_part_property_commutes_with_unitary_conjugation(case, qseed):
+    seed, n, k, scale = case
+    t = _planted(seed, n, k, scale)
+    q = _haar_unitary(np.random.default_rng(qseed), n)
+    base = unitary_part(t).unitary_part
+    moved = unitary_part(q @ t @ q.conj().T).unitary_part
+    assert moved.dim == base.dim
+    assert subspace_distance(moved, Subspace(q @ base.basis)) <= 1e-10
 
 
 def test_unitary_part_of_strict_contraction_is_trivial():
