@@ -445,21 +445,31 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     formulation separately; the boolean verdict thresholds ``r_iii`` (the
     projected wandering image) at 1e-8. A pair with no wandering vectors
     is reported verdict-true with the ``vacuous`` flag set.
+
+    Every residual is computed at working size, on the basis ``Q`` of the
+    hyper-range and one basis ``Q_c`` of its complement, never on an n x n
+    projector: a projected image ``P x`` enters through ``Q^H x``, which
+    has the same norms and singular values.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
     h_inf = p.hyper_range_1
+    q = h_inf.basis
+    qc = complement(h_inf).basis
     e_sub = intersect(kernel(m1.conj().T), p.probe)
     h_probe = intersect(h_inf, p.probe)
-    p_inf = h_inf.projector()
-    red_out, red_in = reducing_residual(m2, h_inf)
-    iso = gram_defect(p_inf @ m2 @ h_probe.basis)
-    dc = operator_norm((m1.conj().T @ m2 - m2 @ m1.conj().T) @ h_probe.basis) \
+    cross = q.conj().T @ (m2 @ qc)
+    red_out = operator_norm(qc.conj().T @ (m2 @ q))
+    red_in = operator_norm(cross)
+    image = m2 @ h_probe.basis
+    iso = gram_defect(q.conj().T @ image)
+    dc = operator_norm(m1.conj().T @ image
+                       - m2 @ (m1.conj().T @ h_probe.basis)) \
         if h_probe.dim else 0.0
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
-    r_iii = 0.0 if vacuous else operator_norm(p_inf @ m2 @ e_sub.basis)
+    r_iii = 0.0 if vacuous else operator_norm(q.conj().T @ (m2 @ e_sub.basis))
     samples: list = []
     if x_samples is not None:
         samples = [np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -475,30 +485,35 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
                 samples.append(v)
     top = max(int(np.max(p.space.degrees_array())), n_levels)
     levels = _level_caps(top, n_levels)
+    # the caps are nested, so each sample's adjoint-power images are built
+    # once at the top cap and every level reads a prefix
+    krylov = []
+    for x in samples:
+        vecs = []
+        v = m2 @ x
+        for _ in range(levels[-1]):
+            v = m1.conj().T @ v
+            vecs.append(v)
+        krylov.append(q.conj().T @ np.column_stack(vecs))
     r_iv: list = []
     for cap in levels:
         dims_at_level = []
-        for x in samples:
-            vecs = []
-            v = m2 @ x
-            for _ in range(cap):
-                v = m1.conj().T @ v
-                vecs.append(p_inf @ v)
-            stack = np.column_stack(vecs) if vecs else np.zeros((n, 0))
+        for stack in krylov:
+            stack = stack[:, :cap]
             if stack.size and np.any(stack):
                 s = np.linalg.svd(stack, compute_uv=False)
                 dims_at_level.append(int(np.sum(s > 1e-8)))
             else:
                 dims_at_level.append(0)
         r_iv.append(dims_at_level)
-    p_out = np.eye(n) - p_inf
     degs = p.space.degrees_array()
     r_v: list = []
     for cap in levels:
-        mask = np.diag((degs <= cap).astype(float))
-        block = p_inf @ m2 @ p_out @ mask
-        s = np.linalg.svd(block, compute_uv=False)
-        r_v.append([float(x) for x in s[:5]])
+        s = np.linalg.svd(cross @ qc[degs <= cap].conj().T, compute_uv=False)
+        # an n x n block has n singular values, the missing ones zero
+        top5 = np.zeros(min(5, n))
+        top5[:min(5, s.size)] = s[:5]
+        r_v.append([float(x) for x in top5])
     verdict = bool(vacuous or r_iii <= 1e-8)
     return VerdictReport(
         e_subspace=e_sub, p_inf=h_inf, r_i=float(r_i), r_ii=float(r_ii),

@@ -99,11 +99,14 @@ def _schur_check(sym: SchurSymbol, n_samples: int = 256):
 
 
 def _boundary_excess(sym: SchurSymbol, n_samples: int) -> float:
-    grid = unit_circle_grid(n_samples)
-    worst = 0.0
-    for z in grid:
-        worst = max(worst, float(np.linalg.norm(evaluate(sym, z), 2)) - 1.0)
-    return worst
+    """Largest ``||phi(zeta)|| - 1`` on the grid, or 0, for a coefficient
+    symbol: one Horner sweep over the coefficients evaluates every point."""
+    zs = unit_circle_grid(n_samples)[:, None, None]
+    acc = np.zeros((n_samples, sym.fiber_dim, sym.fiber_dim),
+                   dtype=np.complex128)
+    for c in sym.coeffs[::-1]:
+        acc = acc * zs + c
+    return max(0.0, float(np.linalg.norm(acc, 2, axis=(1, 2)).max()) - 1.0)
 
 
 def polynomial(coeffs, truncation_hint: int | None = None) -> SchurSymbol:
@@ -312,14 +315,12 @@ def defect_weight(sym: SchurSymbol, k_max: int) -> MomentSequence:
     else:
         order = sym.degree + k_max
     c = taylor(sym, order)
-    d = sym.fiber_dim
-    vals = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    for k in range(k_max + 1):
-        acc = 0.0 + 0.0j
-        for j in range(order + 1 - k):
-            acc += np.trace(c[j].conj().T @ c[j + k]) / d
-        vals[k_max + k] = (1.0 if k == 0 else 0.0) - acc
-        vals[k_max - k] = np.conj(vals[k_max + k])
+    flat = c.reshape(order + 1, -1)
+    # gram[j, l] = tr(c_j^H c_l) / d, so lag k sums the k-th superdiagonal
+    gram = flat.conj() @ flat.T / sym.fiber_dim
+    lags = np.array([np.trace(gram, offset=k) for k in range(k_max + 1)])
+    ahead = (np.arange(k_max + 1) == 0) - lags
+    vals = np.concatenate([np.conj(ahead[::-1]), ahead[1:]])
     return MomentSequence(k_max=k_max, values=vals)
 
 

@@ -207,21 +207,33 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
     1. Guess ``H = range(T^N)`` with ``N = 2^ceil(log2(n + 1))``, which
        exceeds every nilpotency index, by repeated squaring of ``T/||T||``
        rescaled after each squaring, and cut its rank at ``tol``.
-    2. Accept the guess only if three guards hold; otherwise, or if the
-       guess is empty, run the nested iteration on T with ``n_max = n +
-       1``. The guards: no singular value of the scaled ``T^N`` lies
-       within a factor of 10 of the cut; ``T`` restricted to ``H`` is well
-       conditioned (its smallest singular value exceeds
-       ``10 * tol * ||T||``); and the invariance leak
-       ``||(I - P_H) T P_H||`` is at most ``tol * ||T||``.
+    2. Accept the guess only if three guards hold. The guards: no
+       singular value of the scaled ``T^N`` lies within a factor of 10 of
+       the cut; ``T`` restricted to ``H`` is well conditioned (its
+       smallest singular value exceeds ``10 * tol * ||T||``); and the
+       invariance leak ``||(I - P_H) T P_H||`` is at most
+       ``tol * ||T||``. If a guard fails or the guess is empty, the
+       hyper-range is ``{0}`` when the nilpotency certificate below
+       passes on ``T``, and otherwise the nested iteration on ``T`` with
+       ``n_max = n + 1``.
     3. Then ``T`` is block upper triangular over ``H (+) H^perp`` with an
        invertible ``T|H``, so the hyper-range is ``H`` plus the
-       hyper-range of the compression ``C`` of ``T`` to ``H^perp``, found
-       by the nested iteration on ``C``. Every rank cut on ``C`` is
+       hyper-range of the compression ``C`` of ``T`` to ``H^perp``. That
+       is ``{0}`` when the certificate passes on ``C``; otherwise it is
+       found by the nested iteration on ``C``. Every rank cut on ``C`` is
        anchored at ``tol * ||T||``, the scale of the first cut the nested
        iteration on ``T`` makes, not at ``C``'s own largest singular
        value: relative to a nilpotent ``C``'s own scale, its
        rounding-level last powers would survive the cut.
+
+    The nilpotency certificate is the forward Kublanovskaya--Van Dooren
+    staircase with every cut at ``tol * ||T||``: a ladder grown from
+    ``ker(C^H)`` by applying ``C`` must span the space, and ``C`` in the
+    ladder basis must be strictly block lower triangular to within the
+    cut. Then ``C`` lies within the cut of a nilpotent matrix, whose
+    hyper-range is ``{0}``. The certificate is sound but not complete: a
+    non-normal nilpotent matrix can fail it and reach the nested
+    iteration.
 
     For a graded operator each power burns ``growth`` degrees of the
     trusted window, and the ranges are intersected with the shrinking
@@ -270,12 +282,53 @@ def _nested_range(m: np.ndarray, cap: int, tol: float,
     return cur
 
 
+def _certified_nilpotent(c: np.ndarray, tol: float, scale: float) -> bool:
+    """Whether a ladder certifies ``c`` within ``tol * scale`` of nilpotent.
+
+    The forward Kublanovskaya--Van Dooren staircase, without eigenvalues:
+    the first block is ``ker(c^H)``, the left singular directions of ``c``
+    at or below the cut ``tol * scale``; each next block is ``c B_j`` for
+    the newest block ``B_j``, with the basis so far projected out twice and
+    cut at the same level. The certificate holds only if the ladder basis
+    ``Q`` spans the space and ``Q^H c Q`` is strictly block lower triangular
+    to within the cut, measured as one operator norm of its masked upper
+    part: then ``c`` lies within the cut of a nilpotent matrix. It is sound
+    but not complete; a non-normal nilpotent ``c`` can fail it.
+    """
+    n = c.shape[0]
+    cut = tol * scale
+    u, s, _ = np.linalg.svd(c)
+    block = u[:, s <= cut]
+    basis = block
+    widths = [block.shape[1]]
+    while block.shape[1] and basis.shape[1] < n:
+        grown = c @ block
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        block = u[:, s > cut]
+        basis = np.hstack([basis, block])
+        widths.append(block.shape[1])
+    if basis.shape[1] != n:
+        return False
+    labels = np.repeat(np.arange(len(widths)), widths)
+    upper = labels[:, None] <= labels[None, :]
+    return operator_norm(np.where(upper, basis.conj().T @ c @ basis,
+                                  0.0)) <= cut
+
+
 def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
     """Hyper-range of a plain matrix by deflation; see ``hyper_range``."""
     n = m.shape[0]
     norm = operator_norm(m)
     if norm == 0.0:
         return _nested_range(m, n + 1, tol)
+
+    def fallback() -> Subspace:
+        if _certified_nilpotent(m, tol, norm):
+            return Subspace(np.zeros((n, 0), dtype=np.complex128), tol)
+        return _nested_range(m, n + 1, tol)
+
     power = m / norm
     for _ in range(n.bit_length()):
         power = power @ power
@@ -287,13 +340,16 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
     cut = tol * s[0]
     h = int(np.sum(s > cut))
     if h == 0 or s[h - 1] <= 10.0 * cut or (h < n and s[h] > cut / 10.0):
-        return _nested_range(m, n + 1, tol)
+        return fallback()
     blocks = u.conj().T @ m @ u
     smallest = np.linalg.svd(blocks[:h, :h], compute_uv=False)[-1]
     leak = operator_norm(blocks[h:, :h])
     if smallest <= 10.0 * tol * norm or leak > tol * norm:
-        return _nested_range(m, n + 1, tol)
-    rest = _nested_range(blocks[h:, h:], n - h + 1, tol, scale=norm)
+        return fallback()
+    c = blocks[h:, h:]
+    if _certified_nilpotent(c, tol, norm):
+        return Subspace(np.ascontiguousarray(u[:, :h]), tol)
+    rest = _nested_range(c, n - h + 1, tol, scale=norm)
     return Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol)
 
 

@@ -8,8 +8,13 @@ or via iterated preimages (``unitary_part_iterated``, the library's former
 route) instead of one closure of the defect ranges, Wold ladder audits one
 rung pair and one window coordinate at a time instead of through one
 stacked basis, hyper-ranges of plain matrices by nested range steps on the
-whole matrix instead of deflation, and nonnegative least squares via
-scipy's active-set solver instead of projected gradients.
+whole matrix instead of deflation and the nilpotency ladder, the verdict
+battery on n x n projectors (``verdict_battery_projector``, the library's
+former route) instead of the hyper-range basis and its complement, defect
+weights by one trace per autocorrelation term (``defect_weight_loop``,
+the library's former route) instead of one Gram matrix, and nonnegative
+least squares via scipy's active-set solver instead of projected
+gradients.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ import numpy as np
 import scipy.optimize
 
 from woldlab.linalg import (Subspace, as_matrix, complement, full_subspace,
-                            intersect, kernel, operator_norm, orthonormalize,
+                            gram_defect, intersect, kernel, operator_norm,
+                            orthonormalize, reducing_residual,
                             subspace_distance)
-from woldlab.symbols import SchurSymbol, evaluate
+from woldlab.pairs import OperatorPair, VerdictReport, _level_caps
+from woldlab.symbols import (MomentSequence, SchurSymbol,
+                             blaschke_required_order, evaluate, taylor)
 
 
 def intersect_avg_projector(a: Subspace, b: Subspace,
@@ -51,6 +59,28 @@ def defect_weight_quadrature(sym: SchurSymbol, k_max: int,
     ks = np.arange(-k_max, k_max + 1)
     phases = np.exp(-1j * np.outer(ks, thetas))
     return phases @ dens / n
+
+
+def defect_weight_loop(sym: SchurSymbol, k_max: int) -> MomentSequence:
+    """Defect weight by the coefficient autocorrelation, one trace per term.
+
+    ``w_hat(k) = delta_k0 - sum_j tr(c_j^H c_(j+k)) / d``, accumulated in
+    a double loop over k and j; the library's former route.
+    """
+    if sym.kind == "blaschke":
+        order = blaschke_required_order(sym, k_max)
+    else:
+        order = sym.degree + k_max
+    c = taylor(sym, order)
+    d = sym.fiber_dim
+    vals = np.zeros(2 * k_max + 1, dtype=np.complex128)
+    for k in range(k_max + 1):
+        acc = 0.0 + 0.0j
+        for j in range(order + 1 - k):
+            acc += np.trace(c[j].conj().T @ c[j + k]) / d
+        vals[k_max + k] = (1.0 if k == 0 else 0.0) - acc
+        vals[k_max - k] = np.conj(vals[k_max + k])
+    return MomentSequence(k_max=k_max, values=vals)
 
 
 def unitary_part_stacked(t: np.ndarray) -> Subspace:
@@ -153,6 +183,77 @@ def hyper_range_nested(t, n_max: int | None = None,
             return nxt
         cur = nxt
     return cur
+
+
+def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
+                              n_levels: int = 3,
+                              seed: int = 0) -> VerdictReport:
+    """The verdict battery on n x n projectors, the library's former route.
+
+    Every projected image is formed as ``P_inf x`` with the full projector,
+    the reducing residual takes its own complement, each level re-applies
+    the adjoint powers from the start, and ``r_v`` takes the singular
+    values of the full masked block ``P_inf m2 (I - P_inf) D``.
+    """
+    m1, m2 = p.s1.matrix, p.s2.matrix
+    n = p.space.dim
+    h_inf = p.hyper_range_1
+    e_sub = intersect(kernel(m1.conj().T), p.probe)
+    h_probe = intersect(h_inf, p.probe)
+    p_inf = h_inf.projector()
+    red_out, red_in = reducing_residual(m2, h_inf)
+    iso = gram_defect(p_inf @ m2 @ h_probe.basis)
+    dc = operator_norm((m1.conj().T @ m2 - m2 @ m1.conj().T) @ h_probe.basis) \
+        if h_probe.dim else 0.0
+    r_i = red_out + red_in + iso
+    r_ii = red_out + red_in + dc
+    vacuous = e_sub.dim == 0
+    r_iii = 0.0 if vacuous else operator_norm(p_inf @ m2 @ e_sub.basis)
+    samples: list = []
+    if x_samples is not None:
+        samples = [np.asarray(x, dtype=np.complex128).reshape(-1)
+                   for x in x_samples]
+    elif not vacuous:
+        samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
+        if e_sub.dim > 1:
+            rng = np.random.default_rng(seed)
+            for _ in range(2):
+                coef = rng.normal(size=e_sub.dim) \
+                    + 1j * rng.normal(size=e_sub.dim)
+                v = e_sub.basis @ (coef / np.linalg.norm(coef))
+                samples.append(v)
+    top = max(int(np.max(p.space.degrees_array())), n_levels)
+    levels = _level_caps(top, n_levels)
+    r_iv: list = []
+    for cap in levels:
+        dims_at_level = []
+        for x in samples:
+            vecs = []
+            v = m2 @ x
+            for _ in range(cap):
+                v = m1.conj().T @ v
+                vecs.append(p_inf @ v)
+            stack = np.column_stack(vecs) if vecs else np.zeros((n, 0))
+            if stack.size and np.any(stack):
+                s = np.linalg.svd(stack, compute_uv=False)
+                dims_at_level.append(int(np.sum(s > 1e-8)))
+            else:
+                dims_at_level.append(0)
+        r_iv.append(dims_at_level)
+    p_out = np.eye(n) - p_inf
+    degs = p.space.degrees_array()
+    r_v: list = []
+    for cap in levels:
+        mask = np.diag((degs <= cap).astype(float))
+        block = p_inf @ m2 @ p_out @ mask
+        s = np.linalg.svd(block, compute_uv=False)
+        r_v.append([float(x) for x in s[:5]])
+    verdict = bool(vacuous or r_iii <= 1e-8)
+    return VerdictReport(
+        e_subspace=e_sub, p_inf=h_inf, r_i=float(r_i), r_ii=float(r_ii),
+        r_iii=float(r_iii), r_iv=r_iv, r_v=r_v, levels=levels,
+        samples=samples, verdict=verdict, vacuous=vacuous,
+    )
 
 
 def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

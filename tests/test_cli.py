@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from woldlab.cli import DEFAULT_TOLERANCES, validate_config
+from woldlab.cli import DEFAULT_TOLERANCES, _schema, validate_config
 from woldlab.errors import SchemaError
 from woldlab.pairs import construct_example, verdict_battery
 
@@ -62,6 +62,14 @@ def test_validate_config_rejects_small_degree():
 def test_validate_config_rejects_decreasing_levels():
     with pytest.raises(SchemaError, match="levels"):
         validate_config('{"levels": [16, 12]}')
+
+
+def test_validate_config_rejects_unknown_tolerance():
+    with pytest.raises(SchemaError,
+                       match="tolerances.*'verdct' was unexpected"):
+        validate_config('{"tolerances": {"verdct": 1e-6}}')
+    tolerances = _schema()["properties"]["tolerances"]["properties"]
+    assert sorted(tolerances) == sorted(DEFAULT_TOLERANCES)
 
 
 def test_validate_config_overrides_tolerances():

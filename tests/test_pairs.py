@@ -16,6 +16,8 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
 from woldlab.wold import unitary_part
 
+from oracles import verdict_battery_projector
+
 HALF_SHIFT_NORM = 0.8660254037844386  # sqrt(3)/2
 AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
 
@@ -134,6 +136,55 @@ def test_verdict_battery_tensor_and_biunitary_pass():
     assert rep_t.verdict and not rep_t.vacuous
     rep_b = verdict_battery(biunitary_pair(3, 5))
     assert rep_b.verdict and rep_b.vacuous
+
+
+_BATTERY_PAIRS = {
+    **{f"{kind}-{d}": (lambda sym=sym, d=d: construct_example(sym(), d))
+       for kind, sym in (
+           ("polynomial", lambda: polynomial([0.5, 0.5])),
+           ("blaschke", lambda: blaschke([0.35, -0.3j])),
+           ("constant", lambda: constant(np.array([[1j]]))))
+       for d in (16, 32, 48)},
+    "three-part": lambda: three_part_pair(0)[0],
+    "four-block": lambda: four_block_pair(1)[0],
+    "tensor": lambda: tensor_shift_pair(5, 5),
+    "biunitary": lambda: biunitary_pair(3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERY_PAIRS))
+def test_verdict_battery_matches_projector_oracle(name):
+    pair = _BATTERY_PAIRS[name]()
+    got = verdict_battery(pair)
+    want = verdict_battery_projector(pair)
+    for field in ("r_i", "r_ii", "r_iii"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13
+    assert len(got.r_v) == len(want.r_v)
+    for row, ref in zip(got.r_v, want.r_v):
+        assert len(row) == len(ref)
+        assert np.max(np.abs(np.subtract(row, ref))) <= 1e-13
+    assert got.r_iv == want.r_iv
+    assert got.levels == want.levels
+    assert got.verdict == want.verdict
+    assert got.vacuous == want.vacuous
+    assert got.e_subspace.dim == want.e_subspace.dim
+
+
+def test_verdict_battery_runs_at_most_one_full_size_svd(monkeypatch):
+    pair = construct_example(polynomial([0.5, 0.5]), 48)
+    n = pair.space.dim
+    pair.hyper_range_1  # cached on the pair: count the battery's own SVDs
+    square = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            square.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    verdict_battery(pair)
+    assert len(square) <= 1
 
 
 def test_model_decomposition_requires_true_verdict():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import defect_weight_quadrature
+from oracles import defect_weight_loop, defect_weight_quadrature
+from woldlab import symbols
 from woldlab.errors import DomainError, PrecisionError, ValidationError
 from woldlab.symbols import (
     MomentSequence,
+    SchurSymbol,
     blaschke,
     blaschke_required_order,
     coefficient_tail_bound,
@@ -127,6 +129,37 @@ def test_defect_weight_matches_quadrature():
         w = defect_weight(sym, 8)
         oracle = defect_weight_quadrature(sym, 8)
         assert np.max(np.abs(w.values - oracle)) < 1e-10
+
+
+_WEIGHT_SYMBOLS = {
+    "scalar": lambda: polynomial([0.2 + 0.1j, -0.3j, 0.25]),
+    "matrix-fiber": lambda: polynomial(
+        [np.diag([0.5, 0.3]), np.array([[0.1, 0.2], [0.0, 0.3j]])]),
+    "blaschke": lambda: blaschke([0.35, -0.3j], 0.6 + 0.8j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHT_SYMBOLS))
+@pytest.mark.parametrize("k_max", [0, 1, 16, 128])
+def test_defect_weight_matches_the_trace_loop(name, k_max):
+    sym = _WEIGHT_SYMBOLS[name]()
+    got = defect_weight(sym, k_max).values
+    want = defect_weight_loop(sym, k_max).values
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("coeffs", [
+    [[[0.7]], [[0.6j]], [[0.2 - 0.1j]]],
+    [np.diag([0.9, 0.3]), np.array([[0.3, 0.4], [0.0, 0.3j]])],
+], ids=["scalar", "matrix-fiber"])
+def test_boundary_excess_matches_pointwise_evaluation(coeffs):
+    # built directly, so the symbol may leave the Schur class
+    c = np.array(coeffs, dtype=np.complex128)
+    sym = SchurSymbol(kind="polynomial", fiber_dim=c.shape[1], coeffs=c)
+    pointwise = max(float(np.linalg.norm(evaluate(sym, z), 2)) - 1.0
+                    for z in unit_circle_grid(256))
+    assert pointwise > 0.1
+    assert symbols._boundary_excess(sym, 256) == pointwise
 
 
 def test_moment_sequence_indexing():

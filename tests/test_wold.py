@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from woldlab import wold
 from woldlab.errors import DomainError, PrecisionError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
@@ -279,18 +280,33 @@ def test_hyper_range_matches_nested_oracle(name):
     assert subspace_distance(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("make", [
-    _leaky_guess,
+def _nonnormal_nilpotent():
+    # nilpotent, but its ladder from ker(T^H) is not strictly block lower
+    # triangular: T maps the second rung partly back onto itself
+    return _scrambled(np.array([[0, 0, 0], [1, 0, 0], [0.7, 1, 0]],
+                               dtype=np.complex128), 5)
+
+
+@pytest.mark.parametrize("make, certified", [
+    (_leaky_guess, False),
     # T^4 keeps a singular value three times the cut, inside its margin
-    lambda: _scrambled(np.diag([1.0, 3e-10 ** 0.25]), 4),
+    (lambda: _scrambled(np.diag([1.0, 3e-10 ** 0.25]), 4), False),
     # the rescaled powers of a nilpotent matrix are rounding noise, and T
-    # is singular on their range
-    lambda: _scrambled(np.eye(24, k=-1), 2),
-], ids=["leaky-guess", "thin-cut", "scrambled-jordan"])
-def test_hyper_range_falls_back_when_a_guard_fails(make):
-    # the fallback is the nested iteration itself, so it agrees bitwise
+    # is singular on their range; the ladder certifies T nilpotent, where
+    # the nested iteration's relative cut keeps a rounding-level direction
+    (lambda: _scrambled(np.eye(24, k=-1), 2), True),
+    (_nonnormal_nilpotent, False),
+], ids=["leaky-guess", "thin-cut", "scrambled-jordan", "nonnormal-nilpotent"])
+def test_hyper_range_falls_back_when_a_guard_fails(make, certified):
+    # an uncertified fallback is the nested iteration itself, so it agrees
+    # bitwise
     t = make()
-    assert np.array_equal(hyper_range(t).basis, hyper_range_nested(t).basis)
+    if certified:
+        assert hyper_range(t).dim == 0
+        assert hyper_range_nested(t).dim == 1
+    else:
+        assert np.array_equal(hyper_range(t).basis,
+                              hyper_range_nested(t).basis)
 
 
 def test_hyper_range_with_explicit_n_max_is_the_nested_iteration():
@@ -300,25 +316,64 @@ def test_hyper_range_with_explicit_n_max_is_the_nested_iteration():
                               hyper_range_nested(t, n_max=n_max).basis)
 
 
+_NILPOTENCY_CERTIFICATES = {
+    "scrambled-jordan-66": (lambda: _scrambled(np.eye(66, k=-1), 1), True),
+    "scrambled-chains-5-3": (lambda: _scrambled(sla.block_diag(
+        np.eye(5, k=-1), np.eye(3, k=-1)), 2), True),
+    # spanned by its ladder, but not nilpotent: eigenvalues 0.5, 0.1, 0
+    "upper-triangular": (lambda: np.array(
+        [[0.5, 0.3, 0], [0, 0.1, 0.3], [0, 0, 0]], dtype=np.complex128),
+        False),
+    # eigenvalues of modulus 1e-6 ** 0.1 ~ 0.25, so ker(T^H) is empty
+    "jordan-10-corner": (lambda: np.eye(10, k=-1) + 1e-6 * np.eye(10, k=9),
+                         False),
+    "nonnormal-nilpotent": (_nonnormal_nilpotent, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NILPOTENCY_CERTIFICATES))
+def test_nilpotency_ladder_certifies_only_what_it_can(name):
+    make, certified = _NILPOTENCY_CERTIFICATES[name]
+    c = make()
+    scale = float(np.linalg.norm(c, 2))
+    assert wold._certified_nilpotent(c, 1e-10, scale) is certified
+
+
+def _model_compression():
+    # the operator model_decomposition hands to hyper_range
+    p = three_part_pair(7, degree=64)[0]
+    p_inf = p.hyper_range_1.projector()
+    return p_inf @ p.s2.matrix @ p_inf
+
+
 @pytest.mark.parametrize("make", [
     lambda: construct_example(polynomial([0.5, 0.5]), 48).s1.matrix,
+    lambda: construct_example(blaschke([0.35, -0.3j]), 48).s1.matrix,
     lambda: three_part_pair(7, degree=64)[0].s1.matrix,
-], ids=["polynomial-48", "three-part-7"])
-def test_hyper_range_runs_nested_steps_only_on_the_remainder(make,
-                                                             monkeypatch):
+    _model_compression,
+], ids=["polynomial-48", "blaschke-48", "three-part-7", "model-compression"])
+def test_hyper_range_needs_no_nested_iteration_on_workload_inputs(
+        make, monkeypatch):
     t = make()
-    n = t.shape[0]
-    heights = []
+    want = hyper_range_nested(t)
+    square = []
     real_svd = np.linalg.svd
 
     def counting(a, *args, **kwargs):
-        heights.append(np.shape(a)[0])
+        if np.shape(a) == t.shape:
+            square.append(a)
         return real_svd(a, *args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nested iteration ran")
+
+    monkeypatch.setattr(wold, "_nested_range", refuse)
     monkeypatch.setattr(np.linalg, "svd", counting)
-    hyper = hyper_range(t)
-    assert heights.count(n) <= 3
-    assert heights.count(n - hyper.dim) >= 10
+    got = hyper_range(t)
+    # the power's SVD, and the ladder's kernel SVD when the guess is empty
+    assert len(square) <= 2
+    assert got.dim == want.dim
+    assert subspace_distance(got, want) <= 1e-12
 
 
 def test_graded_hyper_range_stabilizes_for_unitary_symbol():
