@@ -164,13 +164,8 @@ def _run_wold(cfg: RunConfig, warnings: list):
 
 def _boundary_rows(sym: SchurSymbol, n: int = 256):
     grid = unit_circle_grid(n)
-    rows = []
-    for z in grid:
-        val = evaluate(sym, z)
-        dens = float(np.abs(val) ** 2) if np.isscalar(val) or val.ndim == 0 \
-            else float(np.linalg.norm(val, 2) ** 2)
-        rows.append((float(np.angle(z)), dens))
-    return rows
+    dens = np.linalg.norm(evaluate(sym, grid), 2, axis=(1, 2)) ** 2
+    return [(float(np.angle(z)), float(d)) for z, d in zip(grid, dens)]
 
 
 def _run_construct(cfg: RunConfig, warnings: list):

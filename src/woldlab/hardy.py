@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
-from .linalg import gram_defect
+from .linalg import Subspace, gram_defect
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
@@ -64,6 +64,11 @@ class TruncatedSpace:
 
     def degrees_array(self) -> np.ndarray:
         return np.asarray(self.coordinate_degrees, dtype=int)
+
+
+def _coordinate_subspace(mask: np.ndarray) -> Subspace:
+    """Span of the coordinate vectors a boolean mask selects."""
+    return Subspace(np.eye(mask.size, dtype=np.complex128)[:, mask])
 
 
 def hardy_space(fiber_dim: int, degree: int, label: str = "") -> TruncatedSpace:

@@ -107,7 +107,7 @@ def orthonormalize(m, tol: float = DEFAULT_TOL) -> Subspace:
     """
     a = as_matrix(m)
     if a.shape[1] == 0 or not np.any(a):
-        return Subspace(np.zeros((a.shape[0], 0), dtype=np.complex128), tol)
+        return zero_subspace(a.shape[0], tol)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > tol * s[0]))
     return Subspace(np.ascontiguousarray(u[:, :rank]), tol)
@@ -163,6 +163,8 @@ def reducing_residual(t, s: Subspace) -> tuple[float, float]:
 
     Returns ``(||(I-P) T P||, ||P T (I-P)||)`` in operator norm, where P
     projects onto ``s``. Both vanish iff s and its complement are invariant.
+    They are read at working size from the compression ``A = Q^H T Q`` to
+    the basis ``Q`` of ``s``, as ``||T Q - Q A||`` and ``||Q^H T - A Q^H||``.
     """
     m = as_matrix(t)
     if m.shape[0] != m.shape[1]:
@@ -172,10 +174,10 @@ def reducing_residual(t, s: Subspace) -> tuple[float, float]:
     if s.dim == 0 or s.dim == s.ambient_dim:
         return (0.0, 0.0)
     q = s.basis
-    qc = complement(s).basis
-    low = operator_norm(qc.conj().T @ (m @ q))
-    up = operator_norm(q.conj().T @ (m @ qc))
-    return (low, up)
+    qh = q.conj().T
+    mq = m @ q
+    a = qh @ mq
+    return (operator_norm(mq - q @ a), operator_norm(qh @ m - a @ qh))
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -207,11 +209,16 @@ def operator_norm(m) -> float:
 
 
 def gram_defect(a) -> float:
-    """``||A^H A - I||`` in operator norm; 0.0 when ``a`` has no columns."""
+    """``||A^H A - I||`` in operator norm; 0.0 when ``a`` has no columns.
+
+    A stack of matrices, shape ``(k, m, d)``, gives the largest defect.
+    """
     a = np.asarray(a)
-    if a.shape[1] == 0:
+    if a.shape[-1] == 0:
         return 0.0
-    return operator_norm(a.conj().T @ a - np.eye(a.shape[1]))
+    g = np.asarray(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]),
+                   dtype=np.complex128)
+    return float(np.linalg.norm(g, 2, axis=(-2, -1)).max())
 
 
 def unitarity_defect(u) -> float:

@@ -41,6 +41,7 @@ from .errors import (
 from .hardy import (
     GradedOperator,
     TruncatedSpace,
+    _coordinate_subspace,
     abstract_space,
     compress,
     direct_sum,
@@ -51,6 +52,7 @@ from .hardy import (
 from .linalg import (
     Subspace,
     complement,
+    full_subspace,
     gram_defect,
     intersect,
     kernel,
@@ -231,15 +233,10 @@ class FinitenessReport:
     r_iii: float
 
 
-def _probe_from_mask(space: TruncatedSpace, mask: np.ndarray) -> Subspace:
-    basis = np.eye(space.dim, dtype=np.complex128)[:, mask]
-    return Subspace(basis)
-
-
 def _default_probe(s1: GradedOperator, s2: GradedOperator) -> Subspace:
     degs = s1.domain.degrees_array()
     cut = s1.domain.degree - s1.growth - s2.growth
-    return _probe_from_mask(s1.domain, degs <= cut)
+    return _coordinate_subspace(degs <= cut)
 
 
 def validate_pair(s1, s2, mode: str = "isometry",
@@ -384,7 +381,7 @@ def construct_example(phi: SchurSymbol, degree: int,
         s2 = GradedOperator(matrix=m_phi, domain=h_sp, codomain=h_sp,
                             growth=growth, window=n_int - growth)
         degs = h_sp.degrees_array()
-        probe = _probe_from_mask(h_sp, degs <= degree)
+        probe = _coordinate_subspace(degs <= degree)
         assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
                                    factor=c, v_hat=v_hat,
                                    b1=np.zeros(0, dtype=np.complex128), rank=0)
@@ -412,7 +409,7 @@ def construct_example(phi: SchurSymbol, degree: int,
     mask = np.zeros(n, dtype=bool)
     mask[sl_g] = degs[sl_g] <= boundary_degree - 1
     mask[sl_h] = degs[sl_h] <= degree
-    probe = _probe_from_mask(space, mask)
+    probe = _coordinate_subspace(mask)
     assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
                                factor=c, v_hat=v_hat,
                                b1=c[:, 0].copy(), rank=r)
@@ -447,19 +444,22 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     is reported verdict-true with the ``vacuous`` flag set.
 
     Every residual is computed at working size, on the basis ``Q`` of the
-    hyper-range and one basis ``Q_c`` of its complement, never on an n x n
-    projector: a projected image ``P x`` enters through ``Q^H x``, which
-    has the same norms and singular values.
+    hyper-range, never on an n x n projector: a projected image ``P x``
+    enters through ``Q^H x``, which has the same norms and singular values,
+    and the off-diagonal blocks of ``S2`` are ``S2 Q - Q A`` and
+    ``Q^H S2 - A Q^H`` for the compression ``A = Q^H S2 Q``.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
     h_inf = p.hyper_range_1
     q = h_inf.basis
-    qc = complement(h_inf).basis
-    e_sub = intersect(kernel(m1.conj().T), p.probe)
+    probe = p.probe.basis
+    e_sub = Subspace(probe @ kernel(m1.conj().T @ probe).basis)
     h_probe = intersect(h_inf, p.probe)
-    cross = q.conj().T @ (m2 @ qc)
-    red_out = operator_norm(qc.conj().T @ (m2 @ q))
+    m2q = m2 @ q
+    a = q.conj().T @ m2q
+    cross = q.conj().T @ m2 - a @ q.conj().T
+    red_out = operator_norm(m2q - q @ a)
     red_in = operator_norm(cross)
     image = m2 @ h_probe.basis
     iso = gram_defect(q.conj().T @ image)
@@ -509,7 +509,7 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     degs = p.space.degrees_array()
     r_v: list = []
     for cap in levels:
-        s = np.linalg.svd(cross @ qc[degs <= cap].conj().T, compute_uv=False)
+        s = np.linalg.svd(cross[:, degs <= cap], compute_uv=False)
         # an n x n block has n singular values, the missing ones zero
         top5 = np.zeros(min(5, n))
         top5[:min(5, s.size)] = s[:5]
@@ -526,12 +526,11 @@ def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
                     cap: int) -> list:
     """Apply ``step`` repeatedly, stopping before leaving the probe."""
     rungs = [start.basis]
-    pp = probe.projector()
     for _ in range(cap):
         nxt = step @ rungs[-1]
         if nxt.size == 0:
             break
-        leak = operator_norm(nxt - pp @ nxt)
+        leak = operator_norm(nxt - probe.project(nxt))
         scale = max(operator_norm(nxt), 1e-30)
         if leak / scale > 1e-8:
             break
@@ -562,21 +561,21 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
         )
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    h_inf = p.hyper_range_1
-    p_inf = h_inf.projector()
-    a_full = p_inf @ m2 @ p_inf
-    h_uu = intersect(hyper_range(a_full), h_inf) \
-        if h_inf.dim else zero_subspace(n)
+    q = p.hyper_range_1.basis
+    if q.shape[1]:
+        a = q.conj().T @ m2 @ q
+        h_uu = Subspace(q @ hyper_range(a).basis)
+        f_wander = Subspace(q @ wandering_subspace(a).basis)
+    else:
+        h_uu = f_wander = zero_subspace(n)
     v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
     v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
-    f_wander = wandering_subspace(m2, h_inf) if h_inf.dim \
-        else zero_subspace(n)
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
     f_rungs = _trusted_ladder(m2, f_wander, p.probe, n) \
         if f_wander.dim else []
-    h_out = complement(h_inf)
-    e_wander = wandering_subspace(m1, h_out) if h_out.dim \
-        else zero_subspace(n)
+    q_o = complement(p.hyper_range_1).basis
+    e_wander = Subspace(
+        q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
     e_dim = e_wander.dim
     if e_dim:
         e_rungs = _trusted_ladder(m1, e_wander, p.probe, n)
@@ -673,17 +672,18 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
             continue
         reduce_worst = max(reduce_worst, *reducing_residual(m1, sub),
                            *reducing_residual(m2, sub))
-        defects = [unitarity_defect(sub.basis.conj().T @ m @ sub.basis)
-                   for m in (m1, m2)]
-        role = tuple("unitary" if d <= 1e-8 else "shift" for d in defects)
-        w1, w2 = (wandering_subspace(m, sub) for m in (m1, m2))
+        # the compressions to the part, and everything read off them
+        c1, c2 = (sub.basis.conj().T @ m @ sub.basis for m in (m1, m2))
+        role = tuple("unitary" if unitarity_defect(c) <= 1e-8 else "shift"
+                     for c in (c1, c2))
+        w1, w2 = wandering_subspace(c1), wandering_subspace(c2)
         labels[key] = role
         fibers[key] = (w1.dim, w2.dim)
         consts[key] = None
         if role == ("unitary", "shift"):
-            consts[key] = w2.basis.conj().T @ m1 @ w2.basis
+            consts[key] = w2.basis.conj().T @ c1 @ w2.basis
         elif role == ("shift", "unitary"):
-            consts[key] = w1.basis.conj().T @ m2 @ w1.basis
+            consts[key] = w1.basis.conj().T @ c2 @ w1.basis
     return SlocinskiDecomposition(
         parts=parts, dims=dims, labels=labels, fiber_dims=fibers,
         constant_symbols=consts,
@@ -733,7 +733,8 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     ma = h_inf.basis.conj().T @ m2.conj().T @ h_inf.basis
     dim_a = kernel(ma).dim if h_inf.dim else 0
     k2 = kernel(m2.conj().T)
-    dim_b = orthonormalize(h_inf.projector() @ k2.basis).dim if k2.dim else 0
+    dim_b = orthonormalize(h_inf.basis.conj().T @ k2.basis).dim \
+        if k2.dim else 0
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = p.verdict_report
@@ -759,7 +760,7 @@ def tensor_shift_pair(n1: int, n2: int) -> OperatorPair:
     s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
                         window=min(n1, n2) - 1)
     mask = (i <= n1 - 1) & (j <= n2 - 1)
-    return validate_pair(s1, s2, "isometry", _probe_from_mask(space, mask))
+    return validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
 
 
 def _commuting_unitaries(rng: np.random.Generator, dim: int) -> tuple:
@@ -776,8 +777,7 @@ def biunitary_pair(dim: int, seed: int) -> OperatorPair:
     sp = abstract_space(dim)
     s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp)
     s2 = GradedOperator(matrix=m2, domain=sp, codomain=sp)
-    return validate_pair(s1, s2, "isometry",
-                         _probe_from_mask(sp, np.ones(dim, dtype=bool)))
+    return validate_pair(s1, s2, "isometry", full_subspace(dim))
 
 
 def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
@@ -788,7 +788,7 @@ def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
                         window=degree)
     s2 = compress(shift(1, degree))
     mask = sp.degrees_array() <= degree - 1
-    return validate_pair(s1, s2, "isometry", _probe_from_mask(sp, mask))
+    return validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
 
 
 def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
@@ -882,7 +882,7 @@ def four_block_pair(seed: int, uu_dim: int = 2, f_degree: int = 6,
                         window=min(f_degree, g_degree, bidegree) - 1)
     s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
                         window=min(f_degree, g_degree, bidegree) - 1)
-    pair = validate_pair(s1, s2, "isometry", _probe_from_mask(space, mask))
+    pair = validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
     expected = {"uu": uu_dim, "us": f_degree + 1, "su": g_degree + 1,
                 "ss": (bidegree + 1) ** 2}
     return pair, expected

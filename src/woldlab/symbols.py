@@ -99,14 +99,9 @@ def _schur_check(sym: SchurSymbol, n_samples: int = 256):
 
 
 def _boundary_excess(sym: SchurSymbol, n_samples: int) -> float:
-    """Largest ``||phi(zeta)|| - 1`` on the grid, or 0, for a coefficient
-    symbol: one Horner sweep over the coefficients evaluates every point."""
-    zs = unit_circle_grid(n_samples)[:, None, None]
-    acc = np.zeros((n_samples, sym.fiber_dim, sym.fiber_dim),
-                   dtype=np.complex128)
-    for c in sym.coeffs[::-1]:
-        acc = acc * zs + c
-    return max(0.0, float(np.linalg.norm(acc, 2, axis=(1, 2)).max()) - 1.0)
+    """Largest ``||phi(zeta)|| - 1`` on the grid, or 0."""
+    vals = evaluate(sym, unit_circle_grid(n_samples))
+    return max(0.0, float(np.linalg.norm(vals, 2, axis=(1, 2)).max()) - 1.0)
 
 
 def polynomial(coeffs, truncation_hint: int | None = None) -> SchurSymbol:
@@ -226,19 +221,29 @@ def scalar_coefficients(sym: SchurSymbol, order: int) -> np.ndarray:
     return taylor(sym, order)[:, 0, 0]
 
 
-def evaluate(sym: SchurSymbol, z: complex) -> np.ndarray:
-    """Exact evaluation at a point of the closed disc, as a (d, d) matrix."""
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"evaluation point outside the closed disc: |z|={abs(z)}")
+def evaluate(sym: SchurSymbol, z) -> np.ndarray:
+    """Exact evaluation at points of the closed disc.
+
+    A scalar point gives a (d, d) matrix; an array of k points gives the
+    (k, d, d) stack of values, computed in one sweep over the factors or
+    coefficients.
+    """
+    pts = np.asarray(z, dtype=np.complex128)
+    radius = float(np.abs(pts).max(initial=0.0))
+    if radius > 1.0 + 1e-12:
+        raise DomainError(
+            f"evaluation point outside the closed disc: |z|={radius}")
+    zs = pts.reshape(-1, 1, 1)
     if sym.kind == "blaschke":
-        val = complex(sym.front)
+        acc = np.full(zs.shape, sym.front, dtype=np.complex128)
         for a in sym.zeros:
-            val *= (z - a) / (1.0 - np.conj(a) * z)
-        return np.array([[val]], dtype=np.complex128)
-    acc = np.zeros((sym.fiber_dim, sym.fiber_dim), dtype=np.complex128)
-    for c in sym.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+            acc = acc * ((zs - a) / (1.0 - np.conj(a) * zs))
+    else:
+        acc = np.zeros((zs.shape[0], sym.fiber_dim, sym.fiber_dim),
+                       dtype=np.complex128)
+        for c in sym.coeffs[::-1]:
+            acc = acc * zs + c
+    return acc[0] if pts.ndim == 0 else acc
 
 
 def unit_circle_grid(n: int) -> np.ndarray:
@@ -258,9 +263,7 @@ def is_inner(sym: SchurSymbol, n_samples: int = 512,
     """
     if n_samples < 8:
         raise ValidationError("is_inner needs at least 8 samples")
-    dev = 0.0
-    for z in unit_circle_grid(n_samples):
-        dev = max(dev, gram_defect(evaluate(sym, z)))
+    dev = gram_defect(evaluate(sym, unit_circle_grid(n_samples)))
     return (dev <= tol, dev)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ValidationError
-from .hardy import GradedOperator, TruncatedSpace, abstract_space
+from .hardy import GradedOperator, _coordinate_subspace, abstract_space
 from .linalg import (
     Subspace,
     as_matrix,
@@ -185,21 +185,15 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     )
 
 
-def _window_subspace(space: TruncatedSpace, window: int) -> Subspace:
-    mask = space.degrees_array() <= window
-    basis = np.eye(space.dim)[:, mask]
-    return Subspace(basis=basis.astype(np.complex128))
-
-
 def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
     """Common range of all powers.
 
     For a square matrix with an explicit ``n_max`` this is the limit of
     the nested ranges of T^n, n = 1..n_max: each step keeps the singular
-    directions of ``T Q`` above ``tol`` times its largest singular value,
-    and the iteration exits early once two consecutive ranges agree to
-    within ``tol`` in subspace distance. The matrix is taken at face
-    value, so invertible inputs return the full space.
+    directions of ``T Q`` above ``tol * ||T||``, and the iteration exits
+    early once two consecutive ranges agree to within ``tol`` in subspace
+    distance. The matrix is taken at face value, so invertible inputs
+    return the full space.
 
     Without ``n_max`` the same limit is computed by deflation, which runs
     the nested iteration only where the ranges still shrink:
@@ -212,28 +206,26 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
        the cut; ``T`` restricted to ``H`` is well conditioned (its
        smallest singular value exceeds ``10 * tol * ||T||``); and the
        invariance leak ``||(I - P_H) T P_H||`` is at most
-       ``tol * ||T||``. If a guard fails or the guess is empty, the
-       hyper-range is ``{0}`` when the nilpotency certificate below
-       passes on ``T``, and otherwise the nested iteration on ``T`` with
-       ``n_max = n + 1``.
+       ``tol * ||T||``. An empty guess or a failed guard is the case
+       ``H = {0}`` of step 3, whose compression ``C`` is ``T`` itself.
     3. Then ``T`` is block upper triangular over ``H (+) H^perp`` with an
        invertible ``T|H``, so the hyper-range is ``H`` plus the
        hyper-range of the compression ``C`` of ``T`` to ``H^perp``. That
-       is ``{0}`` when the certificate passes on ``C``; otherwise it is
-       found by the nested iteration on ``C``. Every rank cut on ``C`` is
-       anchored at ``tol * ||T||``, the scale of the first cut the nested
-       iteration on ``T`` makes, not at ``C``'s own largest singular
-       value: relative to a nilpotent ``C``'s own scale, its
-       rounding-level last powers would survive the cut.
+       is ``{0}`` when the nilpotency certificate below passes on ``C``;
+       otherwise it is found by the nested iteration on ``C``.
+
+    Every rank cut, in the certificate and in the nested iteration on
+    either path, sits at ``tol * ||T||``, not at the largest singular value
+    of the matrix being cut: relative to a nilpotent matrix's own scale,
+    its rounding-level last powers would survive the cut.
 
     The nilpotency certificate is the forward Kublanovskaya--Van Dooren
-    staircase with every cut at ``tol * ||T||``: a ladder grown from
-    ``ker(C^H)`` by applying ``C`` must span the space, and ``C`` in the
-    ladder basis must be strictly block lower triangular to within the
-    cut. Then ``C`` lies within the cut of a nilpotent matrix, whose
-    hyper-range is ``{0}``. The certificate is sound but not complete: a
-    non-normal nilpotent matrix can fail it and reach the nested
-    iteration.
+    staircase: a ladder grown from ``ker(C^H)`` by applying ``C`` must span
+    the space, and ``C`` in the ladder basis must be strictly block lower
+    triangular to within the cut. Then ``C`` lies within the cut of a
+    nilpotent matrix, whose hyper-range is ``{0}``. The certificate is
+    sound but not complete: a non-normal nilpotent matrix can fail it and
+    reach the nested iteration.
 
     For a graded operator each power burns ``growth`` degrees of the
     trusted window, and the ranges are intersected with the shrinking
@@ -254,11 +246,11 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
         return _deflated_range(m, tol)
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    return _nested_range(m, n_max, tol)
+    return _nested_range(m, n_max, tol, operator_norm(m))
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
-                  scale: float = 0.0) -> Subspace:
+                  scale: float) -> Subspace:
     """Nested ranges of ``m^k``, k = 1..cap, until two consecutive agree.
 
     Each step keeps the singular directions of ``m Q`` above ``tol`` times
@@ -267,11 +259,9 @@ def _nested_range(m: np.ndarray, cap: int, tol: float,
 
     def span(a: np.ndarray) -> Subspace:
         sub = orthonormalize(a, tol)
-        if scale:
-            # the gain of each kept direction is its singular value
-            gains = np.linalg.norm(a.conj().T @ sub.basis, axis=0)
-            sub = Subspace(sub.basis[:, gains > tol * scale], tol)
-        return sub
+        # the gain of each kept direction is its singular value
+        gains = np.linalg.norm(a.conj().T @ sub.basis, axis=0)
+        return Subspace(sub.basis[:, gains > tol * scale], tol)
 
     cur = span(m)
     for _ in range(cap - 1):
@@ -321,15 +311,7 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
     """Hyper-range of a plain matrix by deflation; see ``hyper_range``."""
     n = m.shape[0]
     norm = operator_norm(m)
-    if norm == 0.0:
-        return _nested_range(m, n + 1, tol)
-
-    def fallback() -> Subspace:
-        if _certified_nilpotent(m, tol, norm):
-            return Subspace(np.zeros((n, 0), dtype=np.complex128), tol)
-        return _nested_range(m, n + 1, tol)
-
-    power = m / norm
+    power = m / (norm or 1.0)
     for _ in range(n.bit_length()):
         power = power @ power
         top = np.abs(power).max()
@@ -339,17 +321,18 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
     u, s, _ = np.linalg.svd(power)
     cut = tol * s[0]
     h = int(np.sum(s > cut))
-    if h == 0 or s[h - 1] <= 10.0 * cut or (h < n and s[h] > cut / 10.0):
-        return fallback()
-    blocks = u.conj().T @ m @ u
-    smallest = np.linalg.svd(blocks[:h, :h], compute_uv=False)[-1]
-    leak = operator_norm(blocks[h:, :h])
-    if smallest <= 10.0 * tol * norm or leak > tol * norm:
-        return fallback()
+    kept = h > 0 and s[h - 1] > 10.0 * cut and (h == n or s[h] <= cut / 10.0)
+    if kept:
+        blocks = u.conj().T @ m @ u
+        smallest = np.linalg.svd(blocks[:h, :h], compute_uv=False)[-1]
+        kept = smallest > 10.0 * tol * norm \
+            and operator_norm(blocks[h:, :h]) <= tol * norm
+    if not kept:
+        h, u, blocks = 0, np.eye(n, dtype=np.complex128), m
     c = blocks[h:, h:]
     if _certified_nilpotent(c, tol, norm):
         return Subspace(np.ascontiguousarray(u[:, :h]), tol)
-    rest = _nested_range(c, n - h + 1, tol, scale=norm)
+    rest = _nested_range(c, n - h + 1, tol, norm)
     return Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol)
 
 
@@ -360,7 +343,7 @@ def _hyper_range_graded(op: GradedOperator, n_max: int | None,
     growth = max(op.growth, 1)
     w = op.window
     cap = (w // growth + 1) if n_max is None else n_max
-    cur = _window_subspace(op.domain, w)
+    cur = _coordinate_subspace(op.window_mask(w))
     level = 0
     for _ in range(cap):
         if w - growth < 0:
@@ -370,28 +353,25 @@ def _hyper_range_graded(op: GradedOperator, n_max: int | None,
             )
         image = orthonormalize(op.matrix @ cur.basis, tol)
         w -= growth
-        nxt = intersect(image, _window_subspace(op.codomain, w))
+        nxt = intersect(image, _coordinate_subspace(
+            op.codomain.degrees_array() <= w))
         level += 1
-        reference = intersect(cur, _window_subspace(op.domain, w))
+        reference = intersect(cur, _coordinate_subspace(op.window_mask(w)))
         if nxt.dim == reference.dim and subspace_distance(nxt, reference) <= tol:
             return nxt
         cur = nxt
     return cur
 
 
-def wandering_subspace(t: np.ndarray,
-                       within: Subspace | None = None) -> Subspace:
-    """Wandering directions of an isometric-type compression.
+def wandering_subspace(t: np.ndarray) -> Subspace:
+    """Wandering directions of an isometric-type operator.
 
     Reads them off the near-idempotent defect ``I - T T^H`` (eigenvalues at
-    least one half); with ``within``, the defect of the compression
-    ``P T P`` to that part, ``P - P T P T^H P``.
+    least one half). For the wandering directions of the part of ``T`` on
+    a subspace with basis ``Q``, pass the compression ``Q^H T Q`` and lift
+    the result by ``Q``.
     """
-    if within is None:
-        flat = np.eye(t.shape[0]) - t @ t.conj().T
-    else:
-        pr = within.projector()
-        flat = pr - pr @ t @ pr @ t.conj().T @ pr
+    flat = np.eye(t.shape[0]) - t @ t.conj().T
     vals, vecs = np.linalg.eigh((flat + flat.conj().T) / 2.0)
     return orthonormalize(vecs[:, vals >= 0.5])
 
@@ -435,7 +415,7 @@ def wold_split(s, n_max: int) -> WoldDecomposition:
             break
         ladder.append(step)
     stack = np.hstack([r.basis for r in ladder])
-    window_sub = _window_subspace(op.domain, op.window)
+    window_sub = _coordinate_subspace(op.window_mask())
     hyper = intersect(complement(orthonormalize(stack)), window_sub) \
         if wandering.dim else window_sub
     win = op.window_mask()
@@ -483,19 +463,18 @@ def cnu_eigenvector_span_residual(s, grid) -> float:
     ``S^H - conj(w) I``; for shift-like operators these are the kernel
     sections. The result is the largest distance from such a section to the
     completely nonunitary window part. With an empty grid there is nothing
-    to span and the norm of the cnu projector is returned, which makes the
-    degenerate answer 1.0 whenever a cnu part exists at all.
+    to span and the norm of the cnu projector is returned: 1.0 whenever a
+    cnu part exists at all, and 0.0 otherwise.
     """
     op = as_graded(s)
     if op.domain.dim != op.codomain.dim:
         raise DomainError("square compression required")
     n = op.domain.dim
     hyper = hyper_range(op.matrix)
-    cnu = intersect(complement(hyper), _window_subspace(op.domain, op.window))
-    p_cnu = cnu.projector()
+    cnu = intersect(complement(hyper), _coordinate_subspace(op.window_mask()))
     pts = list(grid)
     if not pts:
-        return operator_norm(p_cnu)
+        return 1.0 if cnu.dim else 0.0
     worst = 0.0
     eye = np.eye(n)
     for w in pts:
@@ -503,5 +482,6 @@ def cnu_eigenvector_span_residual(s, grid) -> float:
             raise DomainError(f"grid point outside the open disc: |w|={abs(w)}")
         _, _, vh = np.linalg.svd(op.matrix.conj().T - np.conj(w) * eye)
         section = vh[-1].conj()
-        worst = max(worst, float(np.linalg.norm(section - p_cnu @ section)))
+        worst = max(worst,
+                    float(np.linalg.norm(section - cnu.project(section))))
     return worst

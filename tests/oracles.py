@@ -8,9 +8,12 @@ or via iterated preimages (``unitary_part_iterated``, the library's former
 route) instead of one closure of the defect ranges, Wold ladder audits one
 rung pair and one window coordinate at a time instead of through one
 stacked basis, hyper-ranges of plain matrices by nested range steps on the
-whole matrix instead of deflation and the nilpotency ladder, the verdict
-battery on n x n projectors (``verdict_battery_projector``, the library's
-former route) instead of the hyper-range basis and its complement, defect
+whole matrix instead of deflation and the nilpotency ladder, reducing
+residuals as blocks against a complement basis
+(``reducing_residual_complement``, the library's former route) instead
+of the compression to the subspace, the verdict battery on n x n
+projectors (``verdict_battery_projector``, the library's former route)
+instead of the hyper-range basis, defect
 weights by one trace per autocorrelation term (``defect_weight_loop``,
 the library's former route) instead of one Gram matrix, and nonnegative
 least squares via scipy's active-set solver instead of projected
@@ -24,8 +27,7 @@ import scipy.optimize
 
 from woldlab.linalg import (Subspace, as_matrix, complement, full_subspace,
                             gram_defect, intersect, kernel, operator_norm,
-                            orthonormalize, reducing_residual,
-                            subspace_distance)
+                            orthonormalize, subspace_distance)
 from woldlab.pairs import OperatorPair, VerdictReport, _level_caps
 from woldlab.symbols import (MomentSequence, SchurSymbol,
                              blaschke_required_order, evaluate, taylor)
@@ -185,6 +187,22 @@ def hyper_range_nested(t, n_max: int | None = None,
     return cur
 
 
+def reducing_residual_complement(t, s: Subspace) -> tuple[float, float]:
+    """``(||Q_c^H T Q||, ||Q^H T Q_c||)`` for a complement basis ``Q_c``.
+
+    The two off-diagonal blocks of ``T`` over ``s (+) s^perp``, read with
+    the full basis of the complement; both are 0.0 when ``s`` or its
+    complement is zero.
+    """
+    m = as_matrix(t)
+    if s.dim == 0 or s.dim == s.ambient_dim:
+        return (0.0, 0.0)
+    q = s.basis
+    qc = complement(s).basis
+    return (operator_norm(qc.conj().T @ (m @ q)),
+            operator_norm(q.conj().T @ (m @ qc)))
+
+
 def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
                               n_levels: int = 3,
                               seed: int = 0) -> VerdictReport:
@@ -201,7 +219,7 @@ def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
     e_sub = intersect(kernel(m1.conj().T), p.probe)
     h_probe = intersect(h_inf, p.probe)
     p_inf = h_inf.projector()
-    red_out, red_in = reducing_residual(m2, h_inf)
+    red_out, red_in = reducing_residual_complement(m2, h_inf)
     iso = gram_defect(p_inf @ m2 @ h_probe.basis)
     dc = operator_norm((m1.conj().T @ m2 - m2 @ m1.conj().T) @ h_probe.basis) \
         if h_probe.dim else 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import intersect_avg_projector
+from oracles import intersect_avg_projector, reducing_residual_complement
 from woldlab.errors import DimensionError, ValidationError
 from woldlab.linalg import (
     Subspace,
@@ -141,6 +141,18 @@ def test_reducing_residual_invariant_block():
     m[0, 2] = 1.0
     low, up = reducing_residual(m, s)
     assert max(low, up) > 0.5
+
+
+@pytest.mark.parametrize("d", [0, 1, 6, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_reducing_residual_matches_complement_oracle(seed, d):
+    rng = np.random.default_rng(seed)
+    m = 3.0 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    s = _random_subspace(rng, 7, d)
+    got = reducing_residual(m, s)
+    want = reducing_residual_complement(m, s)
+    assert np.max(np.abs(np.subtract(got, want))) \
+        <= 1e-13 * max(1.0, operator_norm(m))
 
 
 def test_operator_norm_matches_svd():

@@ -6,6 +6,7 @@ import pytest
 import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
+from woldlab.linalg import Subspace, operator_norm, reducing_residual
 from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            construct_example, finiteness_checks,
@@ -16,7 +17,7 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
 from woldlab.wold import unitary_part
 
-from oracles import verdict_battery_projector
+from oracles import reducing_residual_complement, verdict_battery_projector
 
 HALF_SHIFT_NORM = 0.8660254037844386  # sqrt(3)/2
 AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
@@ -170,7 +171,7 @@ def test_verdict_battery_matches_projector_oracle(name):
     assert got.e_subspace.dim == want.e_subspace.dim
 
 
-def test_verdict_battery_runs_at_most_one_full_size_svd(monkeypatch):
+def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     pair = construct_example(polynomial([0.5, 0.5]), 48)
     n = pair.space.dim
     pair.hyper_range_1  # cached on the pair: count the battery's own SVDs
@@ -184,7 +185,7 @@ def test_verdict_battery_runs_at_most_one_full_size_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     verdict_battery(pair)
-    assert len(square) <= 1
+    assert len(square) == 0
 
 
 def test_model_decomposition_requires_true_verdict():
@@ -238,6 +239,16 @@ def test_slocinski_splits_four_block_sum_exactly():
     assert dec.orthogonality_residual <= 1e-8
     assert dec.reduction_residual <= 1e-8
     assert dec.double_commutation_residual <= 1e-8
+
+
+def test_reducing_residual_matches_complement_oracle_on_every_part():
+    pair, _ = four_block_pair(2)
+    for sub in slocinski(pair).parts.values():
+        for m in (pair.s1.matrix, pair.s2.matrix):
+            got = reducing_residual(m, sub)
+            want = reducing_residual_complement(m, sub)
+            assert np.max(np.abs(np.subtract(got, want))) \
+                <= 1e-13 * max(1.0, operator_norm(m))
 
 
 def test_slocinski_tensor_pair_is_pure_double_shift():
@@ -329,9 +340,9 @@ def test_slocinski_computes_each_wandering_subspace_once(monkeypatch):
     real = woldlab.pairs.wandering_subspace
     calls = []
 
-    def counting(t, sub, *args, **kwargs):
-        calls.append((id(t), id(sub)))
-        return real(t, sub, *args, **kwargs)
+    def counting(t, *args, **kwargs):
+        calls.append((t.shape, t.tobytes()))
+        return real(t, *args, **kwargs)
 
     monkeypatch.setattr(woldlab.pairs, "wandering_subspace", counting)
     sl = slocinski(pair)
@@ -355,3 +366,26 @@ def test_pair_computes_its_first_unitary_part_once(monkeypatch):
     ps = point_spectrum_part(pair)
     assert sum(calls) == 1
     assert ps.subspace.dim == pair.unitary_part_1.unitary_part.dim
+
+
+_WORKING_SIZE_PAIRS = {
+    "three-part": lambda: three_part_pair(0)[0],
+    "four-block": lambda: four_block_pair(2)[0],
+    "tensor": lambda: tensor_shift_pair(5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKING_SIZE_PAIRS))
+def test_structure_analyses_form_no_projector(name, monkeypatch):
+    pair = _WORKING_SIZE_PAIRS[name]()
+
+    def refuse(self):
+        raise AssertionError("an n x n projector was formed")
+
+    monkeypatch.setattr(Subspace, "projector", refuse)
+    for analysis in (verdict_battery, model_decomposition, slocinski,
+                     finiteness_checks, point_spectrum_part):
+        try:
+            analysis(pair)
+        except PreconditionError:
+            pass

@@ -148,6 +148,27 @@ def test_defect_weight_matches_the_trace_loop(name, k_max):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+_EVALUATED_SYMBOLS = {
+    "matrix-fiber": _WEIGHT_SYMBOLS["matrix-fiber"],
+    "blaschke": _WEIGHT_SYMBOLS["blaschke"],
+    "constant": lambda: constant(np.array([[0.6, 0.0], [0.0, 0.8j]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATED_SYMBOLS))
+def test_evaluate_on_an_array_matches_pointwise_evaluation(name):
+    sym = _EVALUATED_SYMBOLS[name]()
+    d = sym.fiber_dim
+    pts = np.concatenate([unit_circle_grid(64),
+                          0.7 * unit_circle_grid(7) * np.exp(0.3j), [0.0]])
+    batched = evaluate(sym, pts)
+    assert batched.shape == (pts.size, d, d)
+    for z, val in zip(pts, batched):
+        single = evaluate(sym, z)
+        assert single.shape == (d, d)
+        assert np.max(np.abs(val - single)) <= 1e-15
+
+
 @pytest.mark.parametrize("coeffs", [
     [[[0.7]], [[0.6j]], [[0.2 - 0.1j]]],
     [np.diag([0.9, 0.3]), np.array([[0.3, 0.4], [0.0, 0.3j]])],

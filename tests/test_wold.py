@@ -287,26 +287,47 @@ def _nonnormal_nilpotent():
                                dtype=np.complex128), 5)
 
 
-@pytest.mark.parametrize("make, certified", [
+@pytest.mark.parametrize("make, nilpotent", [
     (_leaky_guess, False),
     # T^4 keeps a singular value three times the cut, inside its margin
     (lambda: _scrambled(np.diag([1.0, 3e-10 ** 0.25]), 4), False),
     # the rescaled powers of a nilpotent matrix are rounding noise, and T
-    # is singular on their range; the ladder certifies T nilpotent, where
-    # the nested iteration's relative cut keeps a rounding-level direction
+    # is singular on their range; the ladder certifies T nilpotent
     (lambda: _scrambled(np.eye(24, k=-1), 2), True),
-    (_nonnormal_nilpotent, False),
+    # the ladder rejects it, and the nested iteration on T cuts at
+    # tol * ||T||
+    (_nonnormal_nilpotent, True),
 ], ids=["leaky-guess", "thin-cut", "scrambled-jordan", "nonnormal-nilpotent"])
-def test_hyper_range_falls_back_when_a_guard_fails(make, certified):
-    # an uncertified fallback is the nested iteration itself, so it agrees
-    # bitwise
+def test_hyper_range_falls_back_when_a_guard_fails(make, nilpotent):
+    # a failed guard leaves the whole of T to the certificate and the
+    # anchored nested iteration; the oracle cuts each step relative to its
+    # own largest singular value, which keeps a rounding-level direction
+    # of a nilpotent T and agrees bitwise otherwise
     t = make()
-    if certified:
+    if nilpotent:
         assert hyper_range(t).dim == 0
         assert hyper_range_nested(t).dim == 1
     else:
         assert np.array_equal(hyper_range(t).basis,
                               hyper_range_nested(t).basis)
+
+
+_STRICTLY_LOWER = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
+                            st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(_STRICTLY_LOWER)
+def test_hyper_range_property_of_scrambled_strictly_lower_is_trivial(case):
+    # sizes stay at most 6: from about 8 on, such a matrix lies within
+    # rounding of matrices with eigenvalues near eps ** (1 / n) * ||T||,
+    # and its hyper-range is no longer decided by the data
+    seed, n, u = case
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = _haar_unitary(rng, n)
+    t = q @ (10.0 ** u * np.tril(g, -1)) @ q.conj().T
+    assert hyper_range(t).dim == 0
 
 
 def test_hyper_range_with_explicit_n_max_is_the_nested_iteration():
@@ -340,10 +361,17 @@ def test_nilpotency_ladder_certifies_only_what_it_can(name):
 
 
 def _model_compression():
-    # the operator model_decomposition hands to hyper_range
+    # the n x n form P S2 P of the compression model_decomposition reads
     p = three_part_pair(7, degree=64)[0]
     p_inf = p.hyper_range_1.projector()
     return p_inf @ p.s2.matrix @ p_inf
+
+
+def _model_compression_working_size():
+    # the operator model_decomposition hands to hyper_range, Q^H S2 Q
+    p = three_part_pair(7, degree=64)[0]
+    q = p.hyper_range_1.basis
+    return q.conj().T @ p.s2.matrix @ q
 
 
 @pytest.mark.parametrize("make", [
@@ -351,7 +379,9 @@ def _model_compression():
     lambda: construct_example(blaschke([0.35, -0.3j]), 48).s1.matrix,
     lambda: three_part_pair(7, degree=64)[0].s1.matrix,
     _model_compression,
-], ids=["polynomial-48", "blaschke-48", "three-part-7", "model-compression"])
+    _model_compression_working_size,
+], ids=["polynomial-48", "blaschke-48", "three-part-7", "model-compression",
+        "model-compression-working-size"])
 def test_hyper_range_needs_no_nested_iteration_on_workload_inputs(
         make, monkeypatch):
     t = make()
