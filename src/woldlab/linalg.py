@@ -201,11 +201,14 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
+    """Largest singular value; 0.0 for an empty matrix.
+
+    A stack of matrices, shape ``(k, m, d)``, gives the largest norm.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
 
 def gram_defect(a) -> float:

@@ -22,7 +22,7 @@ from .errors import DomainError, PreconditionError
 from .hardy import compress, multiplier, shift
 from .linalg import (gram_defect, operator_norm, unimodular_clusters,
                      unitarity_defect)
-from .pairs import ExampleAssembly
+from .pairs import _BOUNDARY_DEGREE, ExampleAssembly
 from .symbols import MomentSequence, SchurSymbol, defect_weight
 
 __all__ = [
@@ -67,22 +67,24 @@ class ForcingReport:
     masses: np.ndarray
 
 
-def block_model_from_assembly(assembly: ExampleAssembly,
-                              boundary_degree: int = 2) -> BlockModel:
-    """Assemble the stationary system of a weighted-boundary pair."""
+def block_model_from_assembly(assembly: ExampleAssembly) -> BlockModel:
+    """Assemble the stationary system of a weighted-boundary pair.
+
+    The boundary degree is the pair's own, ``pairs._BOUNDARY_DEGREE``.
+    """
     r = assembly.rank
     if r == 0:
         raise DomainError(
             "inner symbols have a trivial boundary; no block model exists"
         )
-    u = np.kron(np.eye(boundary_degree + 1), assembly.v_hat)
-    a = compress(shift(r, boundary_degree)).matrix
-    b = np.zeros(((boundary_degree + 1) * r, assembly.degree + 1),
+    u = np.kron(np.eye(_BOUNDARY_DEGREE + 1), assembly.v_hat)
+    a = compress(shift(r, _BOUNDARY_DEGREE)).matrix
+    b = np.zeros(((_BOUNDARY_DEGREE + 1) * r, assembly.degree + 1),
                  dtype=np.complex128)
     b[:r, :] = assembly.factor
     return BlockModel(u=u, a=a, b=b, phi=assembly.symbol,
                       degree=assembly.degree,
-                      boundary_degree=boundary_degree)
+                      boundary_degree=_BOUNDARY_DEGREE)
 
 
 def block_model_check(model: BlockModel, degree: int | None = None) -> dict:

@@ -92,6 +92,12 @@ __all__ = [
     "four_block_pair",
 ]
 
+# polynomial degree of the boundary-valued summand of the weighted-boundary
+# pair; the battery only ever populates low degrees there
+_BOUNDARY_DEGREE = 2
+# number of nested degree caps at which the battery reads r_iv and r_v
+_N_LEVELS = 3
+
 
 @dataclass(frozen=True)
 class ExampleAssembly:
@@ -139,7 +145,7 @@ class OperatorPair:
 
     @cached_property
     def verdict_report(self) -> VerdictReport:
-        """Verdict battery with its default arguments, computed once."""
+        """Verdict battery at its default seed, computed once."""
         return verdict_battery(self)
 
 
@@ -324,19 +330,18 @@ def _unitary_completion(c: np.ndarray) -> np.ndarray:
     return v
 
 
-def construct_example(phi: SchurSymbol, degree: int,
-                      boundary_degree: int = 2,
-                      margin: int = 4) -> OperatorPair:
+def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
     """Weighted-boundary pair attached to a scalar Schur symbol.
 
     The defect weight of the symbol defines the Gram matrix
     ``G[m, n] = w_hat(m - n)`` on monomials up to ``degree``; its pivoted
     Cholesky factor (rank cutoff 1e-12) embeds them into a boundary space,
     trivial exactly when the symbol is inner. The pair lives on a truncated
-    boundary-valued Hardy space direct-summed with a scalar one: the first
-    operator is the constant boundary unitary on one summand and the shift
-    on the other, the second couples the boundary shift to the symbol's
-    multiplier through the embedding block.
+    boundary-valued Hardy space of degree 2 (``_BOUNDARY_DEGREE``)
+    direct-summed with a scalar one: the first operator is the constant
+    boundary unitary on one summand and the shift on the other, the second
+    couples the boundary shift to the symbol's multiplier through the
+    embedding block.
 
     Parameters
     ----------
@@ -344,12 +349,8 @@ def construct_example(phi: SchurSymbol, degree: int,
         Scalar symbol.
     degree : int
         Monomial window; identities are asserted up to this degree, with
-        the internal truncation built higher so nothing leaks in.
-    boundary_degree : int
-        Polynomial degree kept on the boundary-valued summand; the battery
-        only ever populates low degrees there.
-    margin : int
-        Extra internal degrees beyond the symbol's coefficient span.
+        the internal truncation built 4 degrees beyond the symbol's
+        coefficient span so nothing leaks in.
 
     Raises
     ------
@@ -371,7 +372,7 @@ def construct_example(phi: SchurSymbol, degree: int,
     r = c.shape[0]
     v_hat = _unitary_completion(c)
     growth = multiplier(phi, 0).growth
-    n_int = degree + growth + margin
+    n_int = degree + growth + 4
     h_sp = hardy_space(1, n_int, label="scalar")
     m_phi = compress(multiplier(phi, n_int)).matrix
     if r == 0:
@@ -386,7 +387,7 @@ def construct_example(phi: SchurSymbol, degree: int,
                                    factor=c, v_hat=v_hat,
                                    b1=np.zeros(0, dtype=np.complex128), rank=0)
         return validate_pair(s1, s2, "isometry", probe, assembly)
-    g_sp = hardy_space(r, boundary_degree, label="boundary")
+    g_sp = hardy_space(r, _BOUNDARY_DEGREE, label="boundary")
     space, (sl_g, sl_h) = direct_sum(g_sp, h_sp)
     n = space.dim
     cols = np.empty((r, n_int + 1), dtype=np.complex128)
@@ -394,20 +395,20 @@ def construct_example(phi: SchurSymbol, degree: int,
     for j in range(degree + 1, n_int + 1):
         cols[:, j] = v_hat @ cols[:, j - 1]
     m1 = np.zeros((n, n), dtype=np.complex128)
-    m1[sl_g, sl_g] = np.kron(np.eye(boundary_degree + 1), v_hat)
+    m1[sl_g, sl_g] = np.kron(np.eye(_BOUNDARY_DEGREE + 1), v_hat)
     m1[sl_h, sl_h] = compress(shift(1, n_int)).matrix
     m2 = np.zeros((n, n), dtype=np.complex128)
-    m2[sl_g, sl_g] = compress(shift(r, boundary_degree)).matrix
+    m2[sl_g, sl_g] = compress(shift(r, _BOUNDARY_DEGREE)).matrix
     m2[sl_h, sl_h] = m_phi
     m2[sl_g.start: sl_g.start + r, sl_h] = cols
     s1 = GradedOperator(matrix=m1, domain=space, codomain=space, growth=1,
-                        window=boundary_degree - 1)
+                        window=_BOUNDARY_DEGREE - 1)
     s2 = GradedOperator(matrix=m2, domain=space, codomain=space,
                         growth=max(growth, 1),
-                        window=boundary_degree - 1)
+                        window=_BOUNDARY_DEGREE - 1)
     degs = space.degrees_array()
     mask = np.zeros(n, dtype=bool)
-    mask[sl_g] = degs[sl_g] <= boundary_degree - 1
+    mask[sl_g] = degs[sl_g] <= _BOUNDARY_DEGREE - 1
     mask[sl_h] = degs[sl_h] <= degree
     probe = _coordinate_subspace(mask)
     assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
@@ -433,15 +434,17 @@ def _level_caps(top: int, n_levels: int) -> list:
     return caps
 
 
-def verdict_battery(p: OperatorPair, x_samples: list | None = None,
-                    n_levels: int = 3, seed: int = 0) -> VerdictReport:
+def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     """Independent residuals for the orthogonality verdict.
 
     Computes the hyper-range of the first operator and the wandering
     subspace of its adjoint on the probe, then measures each equivalent
     formulation separately; the boolean verdict thresholds ``r_iii`` (the
     projected wandering image) at 1e-8. A pair with no wandering vectors
-    is reported verdict-true with the ``vacuous`` flag set.
+    is reported verdict-true with the ``vacuous`` flag set. ``r_iv`` and
+    ``r_v`` are read at three nested degree caps; ``r_iv`` samples each
+    wandering basis vector and, when there are several, two random
+    combinations drawn from ``seed``.
 
     Every residual is computed at working size, on the basis ``Q`` of the
     hyper-range, never on an n x n projector: a projected image ``P x``
@@ -470,21 +473,16 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
     r_iii = 0.0 if vacuous else operator_norm(q.conj().T @ (m2 @ e_sub.basis))
-    samples: list = []
-    if x_samples is not None:
-        samples = [np.asarray(x, dtype=np.complex128).reshape(-1)
-                   for x in x_samples]
-    elif not vacuous:
-        samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
-        if e_sub.dim > 1:
-            rng = np.random.default_rng(seed)
-            for _ in range(2):
-                coef = rng.normal(size=e_sub.dim) \
-                    + 1j * rng.normal(size=e_sub.dim)
-                v = e_sub.basis @ (coef / np.linalg.norm(coef))
-                samples.append(v)
-    top = max(int(np.max(p.space.degrees_array())), n_levels)
-    levels = _level_caps(top, n_levels)
+    samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
+    if e_sub.dim > 1:
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            coef = rng.normal(size=e_sub.dim) \
+                + 1j * rng.normal(size=e_sub.dim)
+            v = e_sub.basis @ (coef / np.linalg.norm(coef))
+            samples.append(v)
+    top = max(int(np.max(p.space.degrees_array())), _N_LEVELS)
+    levels = _level_caps(top, _N_LEVELS)
     # the caps are nested, so each sample's adjoint-power images are built
     # once at the top cap and every level reads a prefix
     krylov = []
@@ -523,19 +521,22 @@ def verdict_battery(p: OperatorPair, x_samples: list | None = None,
 
 
 def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
-                    cap: int) -> list:
-    """Apply ``step`` repeatedly, stopping before leaving the probe."""
-    rungs = [start.basis]
-    for _ in range(cap):
+                    cap: int) -> np.ndarray:
+    """Apply ``step`` repeatedly, stopping before leaving the probe.
+
+    Returns the rungs as one stack of shape ``(k, n, w)``; an empty start
+    gives an empty stack.
+    """
+    rungs = [start.basis] if start.dim else []
+    while rungs and len(rungs) <= cap:
         nxt = step @ rungs[-1]
-        if nxt.size == 0:
-            break
         leak = operator_norm(nxt - probe.project(nxt))
         scale = max(operator_norm(nxt), 1e-30)
         if leak / scale > 1e-8:
             break
         rungs.append(nxt)
-    return rungs
+    return np.array(rungs, dtype=np.complex128).reshape(
+        len(rungs), start.ambient_dim, start.dim)
 
 
 def model_decomposition(p: OperatorPair) -> ModelDecomposition:
@@ -545,9 +546,11 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     second is an isometry; its own hyper-range carries the bi-unitary
     part, and its wandering subspace carries a constant unitary ``psi``
     (the compression of the first operator there). On the complement, the
-    first operator is shift-like and the second acts as a multiplier whose
-    coefficients are read off the first ladder column, cross-checked along
-    the other columns for the Toeplitz pattern.
+    first operator is shift-like and the second acts as a multiplier. On
+    the ladder ``E`` that the first operator grows from its wandering
+    subspace there, the compression ``E^H S2 E`` is block Toeplitz: its
+    first block column holds the multiplier's coefficients, and its block
+    diagonals are checked against them.
 
     Raises
     ------
@@ -571,60 +574,43 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
     v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
-    f_rungs = _trusted_ladder(m2, f_wander, p.probe, n) \
-        if f_wander.dim else []
+    f_lad = _trusted_ladder(m2, f_wander, p.probe, n)
     q_o = complement(p.hyper_range_1).basis
     e_wander = Subspace(
         q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
     e_dim = e_wander.dim
-    if e_dim:
-        e_rungs = _trusted_ladder(m1, e_wander, p.probe, n)
-        k_e = len(e_rungs)
-        blocks = [e_rungs[k].conj().T @ m2 @ e_rungs[0] for k in range(k_e)]
-        keep = k_e
-        while keep > 1 and operator_norm(blocks[keep - 1]) <= 1e-9:
-            keep -= 1
-        coeffs = np.stack(blocks[:keep])
-        toe = 0.0
-        for k in range(keep):
-            for j in range(1, k_e - k):
-                toe = max(toe, operator_norm(
-                    e_rungs[k + j].conj().T @ m2 @ e_rungs[j] - coeffs[k]))
-        phi = SchurSymbol(kind="polynomial", fiber_dim=e_dim, coeffs=coeffs)
-    else:
-        e_rungs = []
-        coeffs = np.zeros((0, 0, 0), dtype=np.complex128)
-        toe = 0.0
-        phi = None
-    worst = 0.0
-    if h_uu.dim:
-        worst = max(worst,
-                    operator_norm(m1 @ h_uu.basis - h_uu.basis @ v1),
-                    operator_norm(m2 @ h_uu.basis - h_uu.basis @ v2))
-    k_f = len(f_rungs)
-    for j, rung in enumerate(f_rungs):
-        worst = max(worst, float(np.linalg.norm(
-            m1 @ rung - rung @ psi, 2)))
-        if j + 1 < k_f:
-            worst = max(worst, float(np.linalg.norm(
-                m2 @ rung - f_rungs[j + 1], 2)))
-    k_e = len(e_rungs)
-    k_c = coeffs.shape[0]
-    for j, rung in enumerate(e_rungs):
-        if j + 1 < k_e:
-            worst = max(worst, float(np.linalg.norm(
-                m1 @ rung - e_rungs[j + 1], 2)))
-        if k_c and j + k_c <= k_e:
-            model_img = sum(e_rungs[j + k] @ coeffs[k] for k in range(k_c))
-            worst = max(worst, float(np.linalg.norm(
-                m2 @ rung - model_img, 2)))
+    e_lad = _trusted_ladder(m1, e_wander, p.probe, n)
+    k_e = len(e_lad)
+    s2e = m2 @ e_lad
+    # block (i, j) of the compression E^H S2 E is rung_i^H S2 rung_j
+    g = e_lad.conj().swapaxes(1, 2)[:, None] @ s2e
+    keep = k_e
+    while keep > 1 and operator_norm(g[keep - 1, 0]) <= 1e-9:
+        keep -= 1
+    # the first block column, sliced so an empty ladder gives no blocks
+    coeffs = g[:keep, :1].reshape(keep, e_dim, e_dim)
+    # the later columns of each kept block diagonal repeat its coefficient
+    rows, cols = np.tril_indices(k_e)
+    diag = (cols > 0) & (rows - cols < keep)
+    toe = operator_norm(g[rows[diag], cols[diag]]
+                        - coeffs[rows[diag] - cols[diag]])
+    phi = SchurSymbol(kind="polynomial", fiber_dim=e_dim, coeffs=coeffs) \
+        if e_dim else None
+    span = k_e - keep + 1
+    model_img = sum(e_lad[k:k + span] @ coeffs[k] for k in range(keep))
+    worst = max(operator_norm(m1 @ h_uu.basis - h_uu.basis @ v1),
+                operator_norm(m2 @ h_uu.basis - h_uu.basis @ v2),
+                operator_norm(m1 @ f_lad - f_lad @ psi),
+                operator_norm(m2 @ f_lad[:-1] - f_lad[1:]),
+                operator_norm(m1 @ e_lad[:-1] - e_lad[1:]),
+                operator_norm(s2e[:span] - model_img))
     return ModelDecomposition(
         h_uu=h_uu, v1=v1, v2=v2,
         f_dim=f_wander.dim, psi=psi, psi_unitarity=gram_defect(psi),
         e_dim=e_dim, phi=phi, phi_coeffs=coeffs,
         toeplitz_residual=float(toe),
         reconstruction_residual=float(worst),
-        f_ladder_dim=k_f, e_ladder_dim=k_e,
+        f_ladder_dim=len(f_lad), e_ladder_dim=k_e,
     )
 
 

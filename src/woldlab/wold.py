@@ -185,18 +185,13 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     )
 
 
-def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
+def hyper_range(t, tol: float = 1e-10) -> Subspace:
     """Common range of all powers.
 
-    For a square matrix with an explicit ``n_max`` this is the limit of
-    the nested ranges of T^n, n = 1..n_max: each step keeps the singular
-    directions of ``T Q`` above ``tol * ||T||``, and the iteration exits
-    early once two consecutive ranges agree to within ``tol`` in subspace
-    distance. The matrix is taken at face value, so invertible inputs
-    return the full space.
-
-    Without ``n_max`` the same limit is computed by deflation, which runs
-    the nested iteration only where the ranges still shrink:
+    For a square matrix this is the limit of the nested ranges of T^n,
+    taken at face value, so invertible inputs return the full space. It
+    is computed by deflation, which runs the nested iteration only where
+    the ranges still shrink:
 
     1. Guess ``H = range(T^N)`` with ``N = 2^ceil(log2(n + 1))``, which
        exceeds every nilpotency index, by repeated squaring of ``T/||T||``
@@ -212,12 +207,15 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
        invertible ``T|H``, so the hyper-range is ``H`` plus the
        hyper-range of the compression ``C`` of ``T`` to ``H^perp``. That
        is ``{0}`` when the nilpotency certificate below passes on ``C``;
-       otherwise it is found by the nested iteration on ``C``.
+       otherwise it is found by the nested iteration on ``C``, whose
+       steps keep the singular directions of ``C Q`` above the cut and
+       exit once two consecutive ranges agree to within ``tol`` in
+       subspace distance.
 
-    Every rank cut, in the certificate and in the nested iteration on
-    either path, sits at ``tol * ||T||``, not at the largest singular value
-    of the matrix being cut: relative to a nilpotent matrix's own scale,
-    its rounding-level last powers would survive the cut.
+    Every rank cut, in the certificate and in the nested iteration, sits
+    at ``tol * ||T||``, not at the largest singular value of the matrix
+    being cut: relative to a nilpotent matrix's own scale, its
+    rounding-level last powers would survive the cut.
 
     The nilpotency certificate is the forward Kublanovskaya--Van Dooren
     staircase: a ladder grown from ``ker(C^H)`` by applying ``C`` must span
@@ -229,7 +227,7 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
 
     For a graded operator each power burns ``growth`` degrees of the
     trusted window, and the ranges are intersected with the shrinking
-    window.
+    window until they stabilize or the window runs out.
 
     Raises
     ------
@@ -238,15 +236,11 @@ def hyper_range(t, n_max: int | None = None, tol: float = 1e-10) -> Subspace:
         stabilized; the message reports the deepest reliable level.
     """
     if isinstance(t, GradedOperator):
-        return _hyper_range_graded(t, n_max, tol)
+        return _hyper_range_graded(t, tol)
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    if n_max is None:
-        return _deflated_range(m, tol)
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
-    return _nested_range(m, n_max, tol, operator_norm(m))
+    return _deflated_range(m, tol)
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
@@ -336,16 +330,14 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
     return Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol)
 
 
-def _hyper_range_graded(op: GradedOperator, n_max: int | None,
-                        tol: float) -> Subspace:
+def _hyper_range_graded(op: GradedOperator, tol: float) -> Subspace:
     if op.domain.dim != op.codomain.dim:
         raise DomainError("graded hyper-range needs a square compression")
     growth = max(op.growth, 1)
     w = op.window
-    cap = (w // growth + 1) if n_max is None else n_max
     cur = _coordinate_subspace(op.window_mask(w))
     level = 0
-    for _ in range(cap):
+    for _ in range(w // growth + 1):
         if w - growth < 0:
             raise PrecisionError(
                 f"window exhausted at level {level} (dim {cur.dim}) before "

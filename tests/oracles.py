@@ -13,7 +13,9 @@ residuals as blocks against a complement basis
 (``reducing_residual_complement``, the library's former route) instead
 of the compression to the subspace, the verdict battery on n x n
 projectors (``verdict_battery_projector``, the library's former route)
-instead of the hyper-range basis, defect
+instead of the hyper-range basis, the model split's coefficients and
+audits one rung pair at a time (``model_audits_rungwise``, the library's
+former route) instead of one compression of a stacked ladder, defect
 weights by one trace per autocorrelation term (``defect_weight_loop``,
 the library's former route) instead of one Gram matrix, and nonnegative
 least squares via scipy's active-set solver instead of projected
@@ -27,10 +29,12 @@ import scipy.optimize
 
 from woldlab.linalg import (Subspace, as_matrix, complement, full_subspace,
                             gram_defect, intersect, kernel, operator_norm,
-                            orthonormalize, subspace_distance)
+                            orthonormalize, subspace_distance,
+                            zero_subspace)
 from woldlab.pairs import OperatorPair, VerdictReport, _level_caps
 from woldlab.symbols import (MomentSequence, SchurSymbol,
                              blaschke_required_order, evaluate, taylor)
+from woldlab.wold import hyper_range, wandering_subspace
 
 
 def intersect_avg_projector(a: Subspace, b: Subspace,
@@ -203,8 +207,7 @@ def reducing_residual_complement(t, s: Subspace) -> tuple[float, float]:
             operator_norm(q.conj().T @ (m @ qc)))
 
 
-def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
-                              n_levels: int = 3,
+def verdict_battery_projector(p: OperatorPair,
                               seed: int = 0) -> VerdictReport:
     """The verdict battery on n x n projectors, the library's former route.
 
@@ -227,21 +230,16 @@ def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
     r_iii = 0.0 if vacuous else operator_norm(p_inf @ m2 @ e_sub.basis)
-    samples: list = []
-    if x_samples is not None:
-        samples = [np.asarray(x, dtype=np.complex128).reshape(-1)
-                   for x in x_samples]
-    elif not vacuous:
-        samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
-        if e_sub.dim > 1:
-            rng = np.random.default_rng(seed)
-            for _ in range(2):
-                coef = rng.normal(size=e_sub.dim) \
-                    + 1j * rng.normal(size=e_sub.dim)
-                v = e_sub.basis @ (coef / np.linalg.norm(coef))
-                samples.append(v)
-    top = max(int(np.max(p.space.degrees_array())), n_levels)
-    levels = _level_caps(top, n_levels)
+    samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
+    if e_sub.dim > 1:
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            coef = rng.normal(size=e_sub.dim) \
+                + 1j * rng.normal(size=e_sub.dim)
+            v = e_sub.basis @ (coef / np.linalg.norm(coef))
+            samples.append(v)
+    top = max(int(np.max(p.space.degrees_array())), 3)
+    levels = _level_caps(top, 3)
     r_iv: list = []
     for cap in levels:
         dims_at_level = []
@@ -272,6 +270,83 @@ def verdict_battery_projector(p: OperatorPair, x_samples: list | None = None,
         r_iii=float(r_iii), r_iv=r_iv, r_v=r_v, levels=levels,
         samples=samples, verdict=verdict, vacuous=vacuous,
     )
+
+
+def _ladder_rungwise(step: np.ndarray, start: Subspace, probe: Subspace,
+                     cap: int) -> list:
+    rungs = [start.basis]
+    for _ in range(cap):
+        nxt = step @ rungs[-1]
+        if nxt.size == 0:
+            break
+        leak = operator_norm(nxt - probe.project(nxt))
+        scale = max(operator_norm(nxt), 1e-30)
+        if leak / scale > 1e-8:
+            break
+        rungs.append(nxt)
+    return rungs
+
+
+def model_audits_rungwise(p: OperatorPair) -> dict:
+    """The model split's audits rung by rung, the library's former route.
+
+    Rebuilds the three parts as ``model_decomposition`` does, then reads
+    each multiplier coefficient as ``E_k^H S2 E_0``, checks the Toeplitz
+    pattern one ``(k, j)`` block pair at a time, and audits the
+    reconstruction one rung at a time. Returns the coefficients, the two
+    residuals and the two ladder lengths under the field names of
+    ``ModelDecomposition``.
+    """
+    m1, m2 = p.s1.matrix, p.s2.matrix
+    n = p.space.dim
+    q = p.hyper_range_1.basis
+    if q.shape[1]:
+        a = q.conj().T @ m2 @ q
+        h_uu = Subspace(q @ hyper_range(a).basis)
+        f_wander = Subspace(q @ wandering_subspace(a).basis)
+    else:
+        h_uu = f_wander = zero_subspace(n)
+    v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
+    v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
+    psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
+    f_rungs = _ladder_rungwise(m2, f_wander, p.probe, n) \
+        if f_wander.dim else []
+    q_o = complement(p.hyper_range_1).basis
+    e_wander = Subspace(
+        q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
+    e_rungs: list = []
+    coeffs = np.zeros((0, 0, 0), dtype=np.complex128)
+    toe = 0.0
+    if e_wander.dim:
+        e_rungs = _ladder_rungwise(m1, e_wander, p.probe, n)
+        k_e = len(e_rungs)
+        blocks = [e_rungs[k].conj().T @ m2 @ e_rungs[0] for k in range(k_e)]
+        keep = k_e
+        while keep > 1 and operator_norm(blocks[keep - 1]) <= 1e-9:
+            keep -= 1
+        coeffs = np.stack(blocks[:keep])
+        for k in range(keep):
+            for j in range(1, k_e - k):
+                toe = max(toe, operator_norm(
+                    e_rungs[k + j].conj().T @ m2 @ e_rungs[j] - coeffs[k]))
+    worst = 0.0
+    if h_uu.dim:
+        worst = max(operator_norm(m1 @ h_uu.basis - h_uu.basis @ v1),
+                    operator_norm(m2 @ h_uu.basis - h_uu.basis @ v2))
+    for j, rung in enumerate(f_rungs):
+        worst = max(worst, operator_norm(m1 @ rung - rung @ psi))
+        if j + 1 < len(f_rungs):
+            worst = max(worst, operator_norm(m2 @ rung - f_rungs[j + 1]))
+    k_e, k_c = len(e_rungs), coeffs.shape[0]
+    for j, rung in enumerate(e_rungs):
+        if j + 1 < k_e:
+            worst = max(worst, operator_norm(m1 @ rung - e_rungs[j + 1]))
+        if k_c and j + k_c <= k_e:
+            model_img = sum(e_rungs[j + k] @ coeffs[k] for k in range(k_c))
+            worst = max(worst, operator_norm(m2 @ rung - model_img))
+    return {"phi_coeffs": coeffs, "toeplitz_residual": float(toe),
+            "reconstruction_residual": float(worst),
+            "f_ladder_dim": len(f_rungs), "e_ladder_dim": k_e}
 
 
 def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,6 +33,14 @@ def test_block_model_satisfies_every_identity(half_model):
     assert all(v <= 1e-12 for v in res.values())
 
 
+def test_block_model_has_the_pair_boundary_blocks():
+    pair = construct_example(polynomial([0.5, 0.5]), 16)
+    model = block_model_from_assembly(pair.assembly)
+    nb = model.u.shape[0]
+    assert np.array_equal(model.u, pair.s1.matrix[:nb, :nb])
+    assert np.array_equal(model.a, pair.s2.matrix[:nb, :nb])
+
+
 def test_block_model_check_rejects_degree_beyond_columns(half_model):
     with pytest.raises(DomainError):
         block_model_check(half_model, degree=40)

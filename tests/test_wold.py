@@ -330,13 +330,6 @@ def test_hyper_range_property_of_scrambled_strictly_lower_is_trivial(case):
     assert hyper_range(t).dim == 0
 
 
-def test_hyper_range_with_explicit_n_max_is_the_nested_iteration():
-    t = construct_example(polynomial([0.5, 0.5]), 16).s1.matrix
-    for n_max in (1, 5, t.shape[0] + 1):
-        assert np.array_equal(hyper_range(t, n_max=n_max).basis,
-                              hyper_range_nested(t, n_max=n_max).basis)
-
-
 _NILPOTENCY_CERTIFICATES = {
     "scrambled-jordan-66": (lambda: _scrambled(np.eye(66, k=-1), 1), True),
     "scrambled-chains-5-3": (lambda: _scrambled(sla.block_diag(
