@@ -126,7 +126,6 @@ class OperatorPair:
     s1: GradedOperator
     s2: GradedOperator
     space: TruncatedSpace
-    mode: str
     probe: Subspace
     commutator_residual: float
     defect_1: float
@@ -245,20 +244,19 @@ def _default_probe(s1: GradedOperator, s2: GradedOperator) -> Subspace:
     return _coordinate_subspace(degs <= cut)
 
 
-def validate_pair(s1, s2, mode: str = "isometry",
-                  probe: Subspace | None = None,
+def validate_pair(s1, s2, probe: Subspace | None = None,
                   assembly: ExampleAssembly | None = None) -> OperatorPair:
     """Measure a candidate pair's defects and reject anything beyond 1e-8.
 
-    The commutator and, in isometry mode, each operator's isometry defect
-    are evaluated on the probe subspace (by default, coordinates far enough
-    below the top degree that truncation cannot reach them). Contraction
-    mode instead requires both operator norms at most 1 + 1e-8.
+    The commutator and each operator's isometry defect are evaluated on the
+    probe subspace (by default, coordinates far enough below the top degree
+    that truncation cannot reach them).
 
     Raises
     ------
     DimensionError
-        If the two operators do not share a coordinate model.
+        If the two operators do not share a coordinate model, or the probe
+        lives in another space; the message names both dimensions.
     DomainError
         If a measured defect exceeds 1e-8; the message carries the value.
     """
@@ -271,37 +269,31 @@ def validate_pair(s1, s2, mode: str = "isometry",
     if a.domain.dim != b.domain.dim or \
             a.domain.coordinate_degrees != b.domain.coordinate_degrees:
         raise DimensionError("pair operators must share one graded space")
-    if mode not in ("isometry", "contraction"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if probe is None:
         probe = _default_probe(a, b)
+    if probe.ambient_dim != a.domain.dim:
+        raise DimensionError(
+            f"probe lives in dimension {probe.ambient_dim}, "
+            f"the pair in dimension {a.domain.dim}"
+        )
     if probe.dim == 0:
         raise ValidationError(
             "empty probe: the degree is too small for the symbols' growth"
         )
     m1, m2 = a.matrix, b.matrix
     comm = operator_norm((m1 @ m2 - m2 @ m1) @ probe.basis)
-    if mode == "isometry":
-        d1 = gram_defect(m1 @ probe.basis)
-        d2 = gram_defect(m2 @ probe.basis)
-        for name, d in (("first", d1), ("second", d2)):
-            if d > 1e-8:
-                raise DomainError(
-                    f"{name} operator is not isometric on the probe: "
-                    f"defect {d:.3e}"
-                )
-    else:
-        d1 = max(0.0, operator_norm(m1) - 1.0)
-        d2 = max(0.0, operator_norm(m2) - 1.0)
-        for name, d in (("first", d1), ("second", d2)):
-            if d > 1e-8:
-                raise DomainError(
-                    f"{name} operator is not a contraction: excess {d:.3e}"
-                )
+    d1 = gram_defect(m1 @ probe.basis)
+    d2 = gram_defect(m2 @ probe.basis)
+    for name, d in (("first", d1), ("second", d2)):
+        if d > 1e-8:
+            raise DomainError(
+                f"{name} operator is not isometric on the probe: "
+                f"defect {d:.3e}"
+            )
     if comm > 1e-8:
         raise DomainError(f"operators do not commute: residual {comm:.3e}")
     return OperatorPair(
-        s1=a, s2=b, space=a.domain, mode=mode, probe=probe,
+        s1=a, s2=b, space=a.domain, probe=probe,
         commutator_residual=comm, defect_1=d1, defect_2=d2,
         assembly=assembly,
     )
@@ -386,7 +378,7 @@ def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
         assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
                                    factor=c, v_hat=v_hat,
                                    b1=np.zeros(0, dtype=np.complex128), rank=0)
-        return validate_pair(s1, s2, "isometry", probe, assembly)
+        return validate_pair(s1, s2, probe, assembly)
     g_sp = hardy_space(r, _BOUNDARY_DEGREE, label="boundary")
     space, (sl_g, sl_h) = direct_sum(g_sp, h_sp)
     n = space.dim
@@ -414,14 +406,14 @@ def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
     assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
                                factor=c, v_hat=v_hat,
                                b1=c[:, 0].copy(), rank=r)
-    return validate_pair(s1, s2, "isometry", probe, assembly)
+    return validate_pair(s1, s2, probe, assembly)
 
 
 def shift_multiplier_pair(sym: SchurSymbol, degree: int) -> OperatorPair:
     """The pair (shift, multiplication by an inner symbol) on one window."""
     s1 = compress(shift(sym.fiber_dim, degree))
     s2 = compress(multiplier(sym, degree))
-    return validate_pair(s1, s2, "isometry")
+    return validate_pair(s1, s2)
 
 
 def _level_caps(top: int, n_levels: int) -> list:
@@ -565,12 +557,9 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
     q = p.hyper_range_1.basis
-    if q.shape[1]:
-        a = q.conj().T @ m2 @ q
-        h_uu = Subspace(q @ hyper_range(a).basis)
-        f_wander = Subspace(q @ wandering_subspace(a).basis)
-    else:
-        h_uu = f_wander = zero_subspace(n)
+    a = q.conj().T @ m2 @ q
+    h_uu = Subspace(q @ hyper_range(a).basis)
+    f_wander = Subspace(q @ wandering_subspace(a).basis)
     v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
     v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
@@ -617,12 +606,19 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
 def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     """Four-part split of a doubly commuting pair.
 
-    Intersecting and complementing the two hyper-ranges yields the parts
-    on which (first, second) act as (unitary, unitary), (unitary, shift),
-    (shift, unitary), and (shift, shift). Each part is labeled by measured
-    unitarity defects, its shift coordinates get wandering fiber
+    Double commutation makes the hyper-range ``H`` of the first operator
+    reduce the second, so the parts are read off the second operator's
+    restrictions to ``H`` and ``H^perp`` at working size: for a basis ``Q``
+    of a half, the hyper-range of ``Q^H S2 Q`` lifted by ``Q`` is where the
+    second operator is unitary, and its complement in the half where it is
+    a shift. This yields the parts on which (first, second) act as
+    (unitary, unitary), (unitary, shift), (shift, unitary), and (shift,
+    shift); an empty half yields two empty parts. Each part is labeled by
+    measured unitarity defects, its shift coordinates get wandering fiber
     dimensions, and mixed parts report the constant compression of their
-    unitary coordinate on the other coordinate's wandering subspace.
+    unitary coordinate on the other coordinate's wandering subspace. The
+    reduction residual is measured against the full operators, so a half
+    that fails to reduce the second one off the probe still shows.
 
     Raises
     ------
@@ -637,14 +633,12 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"
         )
     h1 = p.hyper_range_1
-    h2 = hyper_range(m2)
-    h_uu = intersect(h1, h2)
-    h_us, h_su = h1, h2
-    if h_uu.dim:
-        rest = complement(h_uu)
-        h_us, h_su = intersect(h1, rest), intersect(h2, rest)
-    h_ss = intersect(complement(h1), complement(h2))
-    parts = {"uu": h_uu, "us": h_us, "su": h_su, "ss": h_ss}
+    parts: dict = {}
+    for (unitary_key, shift_key), q in ((("uu", "us"), h1.basis),
+                                        (("su", "ss"), complement(h1).basis)):
+        h2 = hyper_range(q.conj().T @ m2 @ q)
+        parts[unitary_key] = Subspace(q @ h2.basis)
+        parts[shift_key] = Subspace(q @ complement(h2).basis)
     dims = {k: v.dim for k, v in parts.items()}
     labels: dict = {}
     fibers: dict = {}
@@ -717,10 +711,9 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     m2 = p.s2.matrix
     h_inf = p.hyper_range_1
     ma = h_inf.basis.conj().T @ m2.conj().T @ h_inf.basis
-    dim_a = kernel(ma).dim if h_inf.dim else 0
+    dim_a = kernel(ma).dim
     k2 = kernel(m2.conj().T)
-    dim_b = orthonormalize(h_inf.basis.conj().T @ k2.basis).dim \
-        if k2.dim else 0
+    dim_b = orthonormalize(h_inf.basis.conj().T @ k2.basis).dim
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = p.verdict_report
@@ -746,7 +739,7 @@ def tensor_shift_pair(n1: int, n2: int) -> OperatorPair:
     s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
                         window=min(n1, n2) - 1)
     mask = (i <= n1 - 1) & (j <= n2 - 1)
-    return validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
+    return validate_pair(s1, s2, _coordinate_subspace(mask))
 
 
 def _commuting_unitaries(rng: np.random.Generator, dim: int) -> tuple:
@@ -763,7 +756,7 @@ def biunitary_pair(dim: int, seed: int) -> OperatorPair:
     sp = abstract_space(dim)
     s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp)
     s2 = GradedOperator(matrix=m2, domain=sp, codomain=sp)
-    return validate_pair(s1, s2, "isometry", full_subspace(dim))
+    return validate_pair(s1, s2, full_subspace(dim))
 
 
 def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
@@ -774,7 +767,7 @@ def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
                         window=degree)
     s2 = compress(shift(1, degree))
     mask = sp.degrees_array() <= degree - 1
-    return validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
+    return validate_pair(s1, s2, _coordinate_subspace(mask))
 
 
 def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
@@ -829,7 +822,7 @@ def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
     sp = abstract_space(n)
     s1 = GradedOperator(matrix=q @ m1 @ q.conj().T, domain=sp, codomain=sp)
     s2 = GradedOperator(matrix=q @ m2 @ q.conj().T, domain=sp, codomain=sp)
-    pair = validate_pair(s1, s2, "isometry", probe)
+    pair = validate_pair(s1, s2, probe)
     truth = {"uu_dim": uu_dim, "psi": psi, "phi": phi, "zeros": zeros,
              "front": front, "v1": v1, "v2": v2, "q": q}
     return pair, truth
@@ -868,7 +861,7 @@ def four_block_pair(seed: int, uu_dim: int = 2, f_degree: int = 6,
                         window=min(f_degree, g_degree, bidegree) - 1)
     s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
                         window=min(f_degree, g_degree, bidegree) - 1)
-    pair = validate_pair(s1, s2, "isometry", _coordinate_subspace(mask))
+    pair = validate_pair(s1, s2, _coordinate_subspace(mask))
     expected = {"uu": uu_dim, "us": f_degree + 1, "su": g_degree + 1,
                 "ss": (bidegree + 1) ** 2}
     return pair, expected

@@ -313,7 +313,8 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
             break
         power = power / top
     u, s, _ = np.linalg.svd(power)
-    cut = tol * s[0]
+    # a 0 x 0 matrix has no singular values and an empty hyper-range
+    cut = tol * s.max(initial=0.0)
     h = int(np.sum(s > cut))
     kept = h > 0 and s[h - 1] > 10.0 * cut and (h == n or s[h] <= cut / 10.0)
     if kept:

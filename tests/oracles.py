@@ -15,11 +15,14 @@ of the compression to the subspace, the verdict battery on n x n
 projectors (``verdict_battery_projector``, the library's former route)
 instead of the hyper-range basis, the model split's coefficients and
 audits one rung pair at a time (``model_audits_rungwise``, the library's
-former route) instead of one compression of a stacked ladder, defect
-weights by one trace per autocorrelation term (``defect_weight_loop``,
-the library's former route) instead of one Gram matrix, and nonnegative
-least squares via scipy's active-set solver instead of projected
-gradients.
+former route) instead of one compression of a stacked ladder, the four
+Slocinski parts by intersecting and complementing the two full hyper-ranges
+(``slocinski_parts_intersect``, the library's former route) instead of the
+hyper-ranges of the second operator's compressions to the first one's
+hyper-range and its complement, defect weights by one trace per
+autocorrelation term (``defect_weight_loop``, the library's former route)
+instead of one Gram matrix, and nonnegative least squares via scipy's
+active-set solver instead of projected gradients.
 """
 
 from __future__ import annotations
@@ -347,6 +350,24 @@ def model_audits_rungwise(p: OperatorPair) -> dict:
     return {"phi_coeffs": coeffs, "toeplitz_residual": float(toe),
             "reconstruction_residual": float(worst),
             "f_ladder_dim": len(f_rungs), "e_ladder_dim": k_e}
+
+
+def slocinski_parts_intersect(p: OperatorPair) -> dict:
+    """The four Slocinski parts from the two full hyper-ranges.
+
+    The library's former route: ``uu`` is the intersection of the two
+    hyper-ranges, ``us`` and ``su`` what each hyper-range keeps outside it,
+    and ``ss`` the intersection of the two complements.
+    """
+    h1 = p.hyper_range_1
+    h2 = hyper_range(p.s2.matrix)
+    h_uu = intersect(h1, h2)
+    h_us, h_su = h1, h2
+    if h_uu.dim:
+        rest = complement(h_uu)
+        h_us, h_su = intersect(h1, rest), intersect(h2, rest)
+    h_ss = intersect(complement(h1), complement(h2))
+    return {"uu": h_uu, "us": h_us, "su": h_su, "ss": h_ss}
 
 
 def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
-from woldlab.linalg import Subspace, operator_norm, reducing_residual
+from woldlab.hardy import GradedOperator, abstract_space
+from woldlab.linalg import (Subspace, operator_norm, orthonormalize,
+                            reducing_residual, subspace_distance,
+                            unitarity_defect)
 from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            construct_example, finiteness_checks,
@@ -15,10 +20,10 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            slocinski, tensor_shift_pair, three_part_pair,
                            validate_pair, verdict_battery)
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
-from woldlab.wold import unitary_part
+from woldlab.wold import unitary_part, wandering_subspace
 
 from oracles import (model_audits_rungwise, reducing_residual_complement,
-                     verdict_battery_projector)
+                     slocinski_parts_intersect, verdict_battery_projector)
 
 HALF_SHIFT_NORM = 0.8660254037844386  # sqrt(3)/2
 AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
@@ -43,21 +48,15 @@ def test_validate_pair_rejects_nonisometric_operator():
         validate_pair(half, np.eye(4))
 
 
-def test_validate_pair_contraction_mode_admits_strict_contraction():
-    pair = validate_pair(0.5 * np.eye(4), np.eye(4), mode="contraction")
-    assert pair.mode == "contraction"
-    assert pair.defect_1 == 0.0
-    assert pair.commutator_residual == 0.0
-
-
 def test_validate_pair_rejects_mismatched_spaces():
     with pytest.raises(DimensionError):
         validate_pair(np.eye(4), np.eye(5))
 
 
-def test_validate_pair_rejects_unknown_mode():
-    with pytest.raises(ValidationError):
-        validate_pair(np.eye(3), np.eye(3), mode="unitary")
+def test_validate_pair_rejects_probe_from_another_space():
+    probe = orthonormalize(np.eye(4)[:, :2])
+    with pytest.raises(DimensionError, match="4.*3"):
+        validate_pair(np.eye(3), np.eye(3), probe=probe)
 
 
 def test_default_probe_needs_room_below_the_growth():
@@ -257,8 +256,10 @@ def test_model_decomposition_reads_one_compression(monkeypatch):
 
 def test_model_decomposition_of_tensor_pair_is_all_multiplier():
     md = model_decomposition(tensor_shift_pair(5, 5))
-    assert md.h_uu.dim == 0
-    assert md.f_dim == 0
+    assert md.h_uu.basis.shape == (36, 0)
+    assert md.v1.shape == md.v2.shape == md.psi.shape == (0, 0)
+    assert md.f_dim == 0 and md.f_ladder_dim == 0
+    assert md.e_ladder_dim == 1
     assert md.e_dim == 6
     assert md.phi is not None and md.phi.fiber_dim == 6
     assert md.phi_coeffs.shape == (1, 6, 6)
@@ -300,6 +301,92 @@ def test_slocinski_tensor_pair_is_pure_double_shift():
     assert dec.orthogonality_residual == 0.0
 
 
+def _conjugated(pair, u):
+    """The pair and its probe conjugated by the unitary ``u``."""
+    sp = abstract_space(pair.space.dim)
+    s1, s2 = (GradedOperator(matrix=u @ m @ u.conj().T, domain=sp,
+                             codomain=sp)
+              for m in (pair.s1.matrix, pair.s2.matrix))
+    return validate_pair(s1, s2, probe=Subspace(u @ pair.probe.basis))
+
+
+def _scrambled_four_block(seed):
+    pair, _ = four_block_pair(seed)
+    u = _random_unitary(np.random.default_rng(100 + seed), pair.space.dim)
+    return _conjugated(pair, u)
+
+
+_SLOCINSKI_PAIRS = {
+    **{f"four-block-{s}": (lambda s=s: four_block_pair(s)[0])
+       for s in range(6)},
+    **{f"four-block-{s}-cli": (lambda s=s: four_block_pair(
+        s, f_degree=10, g_degree=10, bidegree=8)[0]) for s in range(6)},
+    **{f"scrambled-{s}": (lambda s=s: _scrambled_four_block(s))
+       for s in range(8)},
+    "tensor-5": lambda: tensor_shift_pair(5, 5),
+    "tensor-9": lambda: tensor_shift_pair(9, 9),
+    "biunitary": lambda: biunitary_pair(3, 5),
+    "constant-shift": lambda: constant_shift_pair(1.1, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOCINSKI_PAIRS))
+def test_slocinski_matches_intersect_oracle(name):
+    pair = _SLOCINSKI_PAIRS[name]()
+    got = slocinski(pair)
+    want = slocinski_parts_intersect(pair)
+    assert got.dims == {k: sub.dim for k, sub in want.items()}
+    for key, sub in want.items():
+        assert subspace_distance(got.parts[key], sub) <= 1e-12
+        if sub.dim == 0:
+            assert got.labels[key] == ("empty", "empty")
+            assert got.fiber_dims[key] == (0, 0)
+            continue
+        c1, c2 = (sub.basis.conj().T @ m @ sub.basis
+                  for m in (pair.s1.matrix, pair.s2.matrix))
+        assert got.labels[key] == tuple(
+            "unitary" if unitarity_defect(c) <= 1e-8 else "shift"
+            for c in (c1, c2))
+        assert got.fiber_dims[key] == (wandering_subspace(c1).dim,
+                                       wandering_subspace(c2).dim)
+
+
+def test_slocinski_reads_the_two_halves_at_working_size(monkeypatch):
+    pair, _ = four_block_pair(2)
+    n, h = pair.space.dim, pair.hyper_range_1.dim  # cached before counting
+    real_range, real_intersect = (woldlab.pairs.hyper_range,
+                                  woldlab.pairs.intersect)
+    shapes, intersections = [], []
+
+    def counting_range(t, *args, **kwargs):
+        shapes.append(np.shape(t))
+        return real_range(t, *args, **kwargs)
+
+    def counting_intersect(*args, **kwargs):
+        intersections.append(args)
+        return real_intersect(*args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "hyper_range", counting_range)
+    monkeypatch.setattr(woldlab.pairs, "intersect", counting_intersect)
+    slocinski(pair)
+    assert 0 < h < n
+    assert shapes == [(h, h), (n - h, n - h)]
+    assert intersections == []
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(st.integers(0, 2 ** 16), st.integers(0, 2 ** 32 - 1))
+def test_slocinski_property_commutes_with_unitary_conjugation(seed, qseed):
+    pair, _ = four_block_pair(seed)
+    u = _random_unitary(np.random.default_rng(qseed), pair.space.dim)
+    base = slocinski(pair)
+    moved = slocinski(_conjugated(pair, u))
+    assert moved.dims == base.dims
+    for key, sub in base.parts.items():
+        assert subspace_distance(moved.parts[key],
+                                 Subspace(u @ sub.basis)) <= 1e-10
+
+
 def test_slocinski_rejects_pair_without_double_commutation():
     pair = shift_multiplier_pair(blaschke([0.5], truncation_hint=60), 52)
     with pytest.raises(PreconditionError, match="8.660e-01"):
@@ -320,6 +407,14 @@ def test_finiteness_checks_count_three_part_invariants():
     rep = finiteness_checks(pair)
     assert (rep.dim_a, rep.dim_b, rep.spectrum_card) == (1, 1, 3)
     assert rep.verdict
+
+
+def test_finiteness_checks_of_tensor_pair_count_an_empty_hyper_range():
+    pair = tensor_shift_pair(5, 5)
+    assert pair.hyper_range_1.dim == 0
+    rep = finiteness_checks(pair)
+    assert (rep.dim_a, rep.dim_b, rep.spectrum_card) == (0, 0, 0)
+    assert rep.verdict and rep.r_iii == 0.0
 
 
 def test_finiteness_checks_report_failed_verdict():

@@ -218,6 +218,10 @@ def test_hyper_range_of_invertible_matrix_is_everything():
     assert hyper_range(m).dim == 4
 
 
+def test_hyper_range_of_empty_matrix_is_empty():
+    assert hyper_range(np.zeros((0, 0))).basis.shape == (0, 0)
+
+
 def test_hyper_range_of_nilpotent_matrix_is_trivial():
     assert hyper_range(np.diag([1.0, 1.0], k=1)).dim == 0
 
