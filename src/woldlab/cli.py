@@ -14,13 +14,14 @@ import argparse
 import csv
 import io
 import json
+import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -67,26 +68,102 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+}
+
+
+def _is(instance, kind: str) -> bool:
+    """Draft-7 type test: a bool is not a number, and 8.0 is an integer."""
+    if kind == "integer":
+        return _is(instance, "number") and (isinstance(instance, int)
+                                            or instance.is_integer())
+    if kind == "number":
+        return isinstance(instance, (int, float)) \
+            and not isinstance(instance, bool)
+    return isinstance(instance, _JSON_TYPES[kind])
+
+
+def _errors(instance, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each violation of ``schema``.
+
+    Covers the keywords of the packaged schema with draft-7 semantics and
+    words each message as jsonschema does; other keywords are ignored, so
+    the schema may use no others.
+    """
+    for key, value in schema.items():
+        if key == "type":
+            if not _is(instance, value):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            if instance not in value:
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "anyOf":
+            if all(next(_errors(instance, sub, path), None) is not None
+                   for sub in value):
+                yield path, (f"{instance!r} is not valid under any of the "
+                             "given schemas")
+        elif key in _BOUNDS:
+            violated, words = _BOUNDS[key]
+            if _is(instance, "number") and violated(instance, value):
+                yield path, f"{instance!r} is {words} of {value!r}"
+        elif _is(instance, "array"):
+            if key == "items":
+                for i, item in enumerate(instance):
+                    yield from _errors(item, value, path + (i,))
+            elif key == "minItems" and len(instance) < value:
+                words = "should be non-empty" if value == 1 else "is too short"
+                yield path, f"{instance!r} {words}"
+            elif key == "maxItems" and len(instance) > value:
+                yield path, f"{instance!r} is too long"
+        elif _is(instance, "object"):
+            if key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _errors(instance[name], sub, path + (name,))
+            elif key == "required":
+                for name in value:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+            elif key == "additionalProperties" and not value:
+                extras = sorted(instance.keys() - schema.get("properties", {}))
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed ("
+                                 f"{', '.join(map(repr, extras))} {verb} "
+                                 "unexpected)")
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def validate_config(text) -> RunConfig:
     """Parse and validate raw config text, applying defaults.
 
     Raises
     ------
     SchemaError
-        On malformed JSON or schema violations, naming the offending
-        path, and on decreasing levels.
+        On malformed JSON (non-UTF-8 bytes and non-finite numbers
+        included) or schema violations, naming the offending path, and
+        on decreasing levels.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"config invalid at {path}: {exc.message}") from exc
+    error = next(_errors(data, _schema()), None)
+    if error is not None:
+        path = "/".join(str(p) for p in error[0]) or "<root>"
+        raise SchemaError(f"config invalid at {path}: {error[1]}")
     degree = int(data.get("degree", 16))
     levels = tuple(int(x) for x in data.get("levels", [degree]))
     if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -49,6 +49,19 @@ def test_validate_config_rejects_malformed_json():
         validate_config("{")
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_validate_config_rejects_non_finite_numbers(number):
+    # json.loads accepts these, and a NaN tolerance passes every bound
+    # check, decides no verdict and writes invalid JSON into report.json.
+    with pytest.raises(SchemaError, match="not valid JSON: non-finite"):
+        validate_config(f'{{"tolerances": {{"verdict": {number}}}}}')
+
+
+def test_validate_config_rejects_undecodable_bytes():
+    with pytest.raises(SchemaError, match="not valid JSON: 'utf-8' codec"):
+        validate_config(b"\xff{}")
+
+
 def test_validate_config_rejects_unknown_keys():
     with pytest.raises(SchemaError, match="unexpected"):
         validate_config('{"unexpected": 1}')
@@ -138,12 +151,21 @@ def test_verdict_command_applies_the_configured_tolerance(tmp_path):
     assert _report(out)["levels"][0]["verdict"] is False
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, woldlab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+def _packages_loaded_by_cli_import(roots):
+    code = ("import woldlab.cli, sys; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {roots!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _packages_loaded_by_cli_import({"scipy"}) == "[]"
+
+
+def test_cli_import_loads_no_jsonschema():
+    assert _packages_loaded_by_cli_import(
+        {"jsonschema", "referencing", "attrs"}) == "[]"
 
 
 def test_verdict_command_accepts_inner_symbol(tmp_path):
