@@ -66,11 +66,12 @@ from .linalg import (
     zero_subspace,
 )
 from .symbols import SchurSymbol, defect_weight
-from .wold import (CanonicalDecomposition, hyper_range, unitary_part,
-                   wandering_subspace)
+from .wold import (CanonicalDecomposition, hyper_range, hyper_range_split,
+                   unitary_part, wandering_subspace)
 
 __all__ = [
     "OperatorPair",
+    "HyperRangeSplit",
     "ExampleAssembly",
     "VerdictReport",
     "ModelDecomposition",
@@ -120,8 +121,31 @@ class ExampleAssembly:
 
 
 @dataclass(frozen=True)
+class HyperRangeSplit:
+    """The space split by the hyper-range ``H`` of the first operator.
+
+    ``h_inf`` and ``h_perp`` hold orthonormal bases ``Q`` of ``H`` and
+    ``Q_perp`` of its complement, read off one deflation; ``s2q`` is
+    ``S2 Q`` and ``a2`` the compression ``Q^H S2 Q``.
+    """
+
+    h_inf: Subspace
+    h_perp: Subspace
+    s2q: np.ndarray
+    a2: np.ndarray
+
+
+@dataclass(frozen=True)
 class OperatorPair:
-    """Validated commuting pair with its trust region and residuals."""
+    """Validated commuting pair with its trust region and residuals.
+
+    Every structure analysis reads one split of the space by the
+    hyper-range ``H`` of the first operator, computed once per pair
+    (``split_1``): the bases ``Q`` of ``H`` and ``Q_perp`` of ``H^perp``,
+    ``S2 Q`` and ``A2 = Q^H S2 Q``. The unitary part of the first operator
+    lies in ``H``, so it is found on the compression ``Q^H S1 Q`` and
+    lifted by ``Q``.
+    """
 
     s1: GradedOperator
     s2: GradedOperator
@@ -133,14 +157,40 @@ class OperatorPair:
     assembly: ExampleAssembly | None = None
 
     @cached_property
+    def split_1(self) -> HyperRangeSplit:
+        """Split by the first operator's hyper-range, computed once."""
+        h_inf, h_perp = hyper_range_split(self.s1.matrix)
+        q = h_inf.basis
+        s2q = self.s2.matrix @ q
+        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
+                               a2=q.conj().T @ s2q)
+
+    @property
     def hyper_range_1(self) -> Subspace:
-        """Hyper-range of the first operator, computed once on first use."""
-        return hyper_range(self.s1.matrix)
+        """Hyper-range of the first operator, read off ``split_1``."""
+        return self.split_1.h_inf
 
     @cached_property
     def unitary_part_1(self) -> CanonicalDecomposition:
-        """Unitary/cnu decomposition of the first operator, computed once."""
-        return unitary_part(self.s1.matrix)
+        """Unitary/cnu decomposition of the first operator, computed once.
+
+        It is ``unitary_part`` of the compression ``Q^H S1 Q`` lifted by
+        ``Q``; the completely nonunitary part adds ``H^perp``. The reducing
+        defect is measured against the full first operator.
+        """
+        m1 = self.s1.matrix
+        q = self.split_1.h_inf.basis
+        small = unitary_part(q.conj().T @ m1 @ q)
+        unitary = Subspace(q @ small.unitary_part.basis)
+        cnu = Subspace(np.hstack([q @ small.cnu_part.basis,
+                                  self.split_1.h_perp.basis]))
+        return CanonicalDecomposition(
+            unitary_part=unitary,
+            cnu_part=cnu,
+            unitary_block=small.unitary_block,
+            reducing_defect=reducing_residual(m1, unitary),
+            unitarity_defect=small.unitarity_defect,
+        )
 
     @cached_property
     def verdict_report(self) -> VerdictReport:
@@ -446,13 +496,13 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    h_inf = p.hyper_range_1
+    split = p.split_1
+    h_inf = split.h_inf
     q = h_inf.basis
     probe = p.probe.basis
     e_sub = Subspace(probe @ kernel(m1.conj().T @ probe).basis)
     h_probe = intersect(h_inf, p.probe)
-    m2q = m2 @ q
-    a = q.conj().T @ m2q
+    m2q, a = split.s2q, split.a2
     cross = q.conj().T @ m2 - a @ q.conj().T
     red_out = operator_norm(m2q - q @ a)
     red_in = operator_norm(cross)
@@ -517,18 +567,21 @@ def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
     """Apply ``step`` repeatedly, stopping before leaving the probe.
 
     Returns the rungs as one stack of shape ``(k, n, w)``; an empty start
-    gives an empty stack.
+    gives an empty stack. All ``cap`` applications are stacked first, and
+    the ladder is cut before the first rung whose leak ``||x - P x||``
+    exceeds ``1e-8 ||x||``, both norms taken over the stack at once.
     """
-    rungs = [start.basis] if start.dim else []
-    while rungs and len(rungs) <= cap:
-        nxt = step @ rungs[-1]
-        leak = operator_norm(nxt - probe.project(nxt))
-        scale = max(operator_norm(nxt), 1e-30)
-        if leak / scale > 1e-8:
-            break
-        rungs.append(nxt)
-    return np.array(rungs, dtype=np.complex128).reshape(
-        len(rungs), start.ambient_dim, start.dim)
+    if start.dim == 0:
+        return np.zeros((0, start.ambient_dim, 0), dtype=np.complex128)
+    rungs = np.empty((cap + 1, *start.basis.shape), dtype=np.complex128)
+    rungs[0] = start.basis
+    for k in range(cap):
+        rungs[k + 1] = step @ rungs[k]
+    q = probe.basis
+    leak = np.linalg.norm(rungs - q @ (q.conj().T @ rungs), 2, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(rungs, 2, axis=(-2, -1)), 1e-30)
+    escaped = np.flatnonzero(leak[1:] / scale[1:] > 1e-8)
+    return rungs[:escaped[0] + 1] if escaped.size else rungs
 
 
 def model_decomposition(p: OperatorPair) -> ModelDecomposition:
@@ -556,15 +609,15 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
         )
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    q = p.hyper_range_1.basis
-    a = q.conj().T @ m2 @ q
+    split = p.split_1
+    q, a = split.h_inf.basis, split.a2
     h_uu = Subspace(q @ hyper_range(a).basis)
     f_wander = Subspace(q @ wandering_subspace(a).basis)
     v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
     v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
     f_lad = _trusted_ladder(m2, f_wander, p.probe, n)
-    q_o = complement(p.hyper_range_1).basis
+    q_o = split.h_perp.basis
     e_wander = Subspace(
         q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
     e_dim = e_wander.dim
@@ -632,11 +685,13 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         raise PreconditionError(
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"
         )
-    h1 = p.hyper_range_1
+    split = p.split_1
+    q_o = split.h_perp.basis
     parts: dict = {}
-    for (unitary_key, shift_key), q in ((("uu", "us"), h1.basis),
-                                        (("su", "ss"), complement(h1).basis)):
-        h2 = hyper_range(q.conj().T @ m2 @ q)
+    for (unitary_key, shift_key), q, a in (
+            (("uu", "us"), split.h_inf.basis, split.a2),
+            (("su", "ss"), q_o, q_o.conj().T @ m2 @ q_o)):
+        h2 = hyper_range(a)
         parts[unitary_key] = Subspace(q @ h2.basis)
         parts[shift_key] = Subspace(q @ complement(h2).basis)
     dims = {k: v.dim for k, v in parts.items()}
@@ -709,11 +764,11 @@ def point_spectrum_part(p: OperatorPair,
 def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     """Kernel and spectrum cardinality indicators on the hyper-range."""
     m2 = p.s2.matrix
-    h_inf = p.hyper_range_1
-    ma = h_inf.basis.conj().T @ m2.conj().T @ h_inf.basis
-    dim_a = kernel(ma).dim
+    split = p.split_1
+    # Q^H S2^H Q is the adjoint of the cached compression A2
+    dim_a = kernel(split.a2.conj().T).dim
     k2 = kernel(m2.conj().T)
-    dim_b = orthonormalize(h_inf.basis.conj().T @ k2.basis).dim
+    dim_b = orthonormalize(split.h_inf.basis.conj().T @ k2.basis).dim
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = p.verdict_report

@@ -43,6 +43,7 @@ __all__ = [
     "WoldDecomposition",
     "unitary_part",
     "hyper_range",
+    "hyper_range_split",
     "wold_split",
     "wandering_subspace",
     "shimorin_condition",
@@ -122,6 +123,15 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
 
     The rounds stop when a round adds no direction or the basis fills the
     space.
+
+    The unitary part lies in the hyper-range ``H``, since ``T U = U`` puts
+    it in every range, and an invariant subspace on which ``T`` is
+    isometric and onto reduces it (``||Tu|| = ||u||`` gives
+    ``T^H T u = u``). So for an orthonormal basis ``Q`` of ``H``,
+    ``unitary_part(T) = Q . unitary_part(Q^H T Q)``, with the same unitary
+    block, and the completely nonunitary part is ``Q`` times the small
+    one plus ``H^perp``. The pair analyses compute it that way, at the
+    size of ``H``.
 
     Parameters
     ----------
@@ -240,7 +250,24 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    return _deflated_range(m, tol)
+    return _deflated_range(m, tol)[0]
+
+
+def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace]:
+    """Hyper-range of a square matrix and its orthogonal complement.
+
+    Both come out of the one deflation ``hyper_range`` runs. The complement
+    is spanned by the trailing left singular vectors of its SVD of ``T^N``
+    (all of the space when the guess is rejected), lifted by the complement
+    of the nested remainder when the nested iteration runs. So the split
+    costs one hyper-range, where ``complement(hyper_range(t))`` adds a full
+    n x n SVD.
+    """
+    m = as_matrix(t, "operator")
+    if m.shape[0] != m.shape[1]:
+        raise DomainError(f"square matrix required, got shape {m.shape}")
+    h_inf, perp = _deflated_range(m, tol)
+    return h_inf, Subspace(np.ascontiguousarray(perp), tol)
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
@@ -301,8 +328,10 @@ def _certified_nilpotent(c: np.ndarray, tol: float, scale: float) -> bool:
                                   0.0)) <= cut
 
 
-def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
-    """Hyper-range of a plain matrix by deflation; see ``hyper_range``."""
+def _deflated_range(m: np.ndarray,
+                    tol: float) -> tuple[Subspace, np.ndarray]:
+    """Hyper-range of a plain matrix by deflation, with a basis of its
+    orthogonal complement; see ``hyper_range``."""
     n = m.shape[0]
     norm = operator_norm(m)
     power = m / (norm or 1.0)
@@ -326,9 +355,10 @@ def _deflated_range(m: np.ndarray, tol: float) -> Subspace:
         h, u, blocks = 0, np.eye(n, dtype=np.complex128), m
     c = blocks[h:, h:]
     if _certified_nilpotent(c, tol, norm):
-        return Subspace(np.ascontiguousarray(u[:, :h]), tol)
+        return Subspace(np.ascontiguousarray(u[:, :h]), tol), u[:, h:]
     rest = _nested_range(c, n - h + 1, tol, norm)
-    return Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol)
+    return (Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol),
+            u[:, h:] @ complement(rest).basis)
 
 
 def _hyper_range_graded(op: GradedOperator, tol: float) -> Subspace:

@@ -9,8 +9,9 @@ import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
 from woldlab.hardy import GradedOperator, abstract_space
-from woldlab.linalg import (Subspace, operator_norm, orthonormalize,
-                            reducing_residual, subspace_distance,
+from woldlab.linalg import (Subspace, complement, mutual_orthogonality,
+                            operator_norm, orthonormalize, reducing_residual,
+                            subspace_distance, unimodular_clusters,
                             unitarity_defect)
 from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
@@ -32,6 +33,13 @@ AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
 def _random_unitary(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n))
                         + 1j * rng.normal(size=(n, n)))[0]
+
+
+def _haar_unitary(rng, n):
+    """Haar-distributed: the QR factor with the phases of R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_validate_pair_rejects_noncommuting_operators():
@@ -445,19 +453,43 @@ def test_finiteness_cardinality_counts_the_default_forcing_atoms():
 
 
 def test_pair_computes_its_first_hyper_range_once(monkeypatch):
-    pair = construct_example(blaschke([0.5]), 16)
-    real = woldlab.pairs.hyper_range
-    calls = []
+    # every analysis reads the one split of the space by H_inf(S1); after
+    # it, no hyper-range and no complement is taken at full size
+    real_split, real_range, real_complement = (
+        woldlab.pairs.hyper_range_split, woldlab.pairs.hyper_range,
+        woldlab.pairs.complement)
+    splits, ranges, complements = [], [], []
 
-    def counting(t, *args, **kwargs):
-        calls.append(np.array_equal(t, pair.s1.matrix))
-        return real(t, *args, **kwargs)
+    def counting_split(t, *args, **kwargs):
+        splits.append(np.shape(t))
+        return real_split(t, *args, **kwargs)
 
-    monkeypatch.setattr(woldlab.pairs, "hyper_range", counting)
-    verdict_battery(pair)
-    finiteness_checks(pair)
-    model_decomposition(pair)
-    assert sum(calls) == 1
+    def counting_range(t, *args, **kwargs):
+        ranges.append(np.shape(t))
+        return real_range(t, *args, **kwargs)
+
+    def counting_complement(sub, *args, **kwargs):
+        complements.append(sub.ambient_dim)
+        return real_complement(sub, *args, **kwargs)
+
+    monkeypatch.setattr(woldlab.pairs, "hyper_range_split", counting_split)
+    monkeypatch.setattr(woldlab.pairs, "hyper_range", counting_range)
+    monkeypatch.setattr(woldlab.pairs, "complement", counting_complement)
+    for pair in (three_part_pair(1, degree=40)[0], four_block_pair(1)[0]):
+        n = pair.space.dim
+        splits.clear(), ranges.clear(), complements.clear()
+        verdict_battery(pair)
+        finiteness_checks(pair)
+        point_spectrum_part(pair)
+        model_decomposition(pair)
+        try:
+            slocinski(pair)
+        except PreconditionError:
+            pass  # the three-part pair is not doubly commuting
+        assert splits == [(n, n)]
+        assert 0 < pair.hyper_range_1.dim < n
+        assert ranges and all(shape[0] < n for shape in ranges)
+        assert all(ambient < n for ambient in complements)
 
 
 def test_pair_runs_its_verdict_battery_once(monkeypatch):
@@ -494,19 +526,142 @@ def test_slocinski_computes_each_wandering_subspace_once(monkeypatch):
 
 
 def test_pair_computes_its_first_unitary_part_once(monkeypatch):
+    # the unitary part is found once, on the h x h compression Q^H S1 Q
     pair, _ = four_block_pair(1)
     real = woldlab.pairs.unitary_part
     calls = []
 
     def counting(t, *args, **kwargs):
-        calls.append(np.array_equal(t, pair.s1.matrix))
+        calls.append(np.shape(t))
         return real(t, *args, **kwargs)
 
     monkeypatch.setattr(woldlab.pairs, "unitary_part", counting)
     finiteness_checks(pair)
     ps = point_spectrum_part(pair)
-    assert sum(calls) == 1
+    h = pair.hyper_range_1.dim
+    assert 0 < h < pair.space.dim
+    assert calls == [(h, h)]
     assert ps.subspace.dim == pair.unitary_part_1.unitary_part.dim
+
+
+_SPLIT_PAIRS = {
+    **{f"three-part-{s}": (lambda s=s: three_part_pair(s)[0])
+       for s in range(4)},
+    **{f"four-block-{s}": (lambda s=s: four_block_pair(
+        s, f_degree=10, g_degree=10, bidegree=8)[0]) for s in range(3)},
+    "tensor": lambda: tensor_shift_pair(9, 9),
+    "biunitary": lambda: biunitary_pair(3, 5),
+    "constant-shift": lambda: constant_shift_pair(1.1, 12),
+    "polynomial-48": lambda: construct_example(polynomial([0.5, 0.5]), 48),
+    "blaschke-48": lambda: construct_example(blaschke([0.4]), 48),
+}
+
+
+def _clusters(block):
+    """Sizes and mean eigenvalues of the unitary block's 1e-6 clusters."""
+    vals = np.linalg.eigvals(block)
+    groups = unimodular_clusters(vals, 1e-6)
+    return (np.array([len(g) for g in groups]),
+            np.array([np.mean(vals[g]) for g in groups]))
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
+def test_unitary_part_of_the_split_matches_the_full_size_oracle(name):
+    # the lift of unitary_part(Q^H S1 Q) against unitary_part(S1) itself
+    pair = _SPLIT_PAIRS[name]()
+    n = pair.space.dim
+    got = pair.unitary_part_1
+    want = unitary_part(pair.s1.matrix)
+    assert got.unitary_part.dim == want.unitary_part.dim
+    assert subspace_distance(got.unitary_part, want.unitary_part) <= 1e-12
+    assert got.unitary_part.dim + got.cnu_part.dim == n
+    assert mutual_orthogonality([got.unitary_part, got.cnu_part]) <= 1e-12
+    got_sizes, got_means = _clusters(got.unitary_block)
+    want_sizes, want_means = _clusters(want.unitary_block)
+    assert got_sizes.size == want_sizes.size
+    if want_sizes.size:
+        # each cluster meets the one of the same size nearest to it
+        gap = np.abs(got_means[:, None] - want_means[None, :])
+        match = gap.argmin(axis=1)
+        assert sorted(match) == list(range(want_sizes.size))
+        assert np.array_equal(got_sizes, want_sizes[match])
+        assert gap.min(axis=1).max() <= 1e-6
+    split = pair.split_1
+    assert split.h_inf.dim + split.h_perp.dim == n
+    assert subspace_distance(split.h_perp,
+                             complement(pair.hyper_range_1)) <= 1e-12
+
+
+def _schur_polynomial(seed, degree):
+    """Random polynomial scaled to a boundary sup-norm in [0.3, 0.9]."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    boundary = np.exp(2j * np.pi * np.arange(512) / 512)
+    sup = np.max(np.abs(np.polyval(c[::-1], boundary)))
+    return polynomial(c * rng.uniform(0.3, 0.9) / sup)
+
+
+_ONLY_IF_PAIRS = st.one_of(
+    st.tuples(st.just("example"), st.integers(0, 2 ** 32 - 1),
+              st.integers(1, 3), st.sampled_from([16, 24, 32])),
+    st.tuples(st.just("three-part"), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("four-block"), st.integers(0, 2 ** 16),
+              st.integers(0, 2 ** 32 - 1)),
+)
+
+
+def _only_if_pair(case):
+    if case[0] == "example":
+        _, seed, degree, d = case
+        return construct_example(_schur_polynomial(seed, degree), d)
+    if case[0] == "three-part":
+        return three_part_pair(case[1], degree=40)[0]
+    pair, _ = four_block_pair(case[1])
+    return _conjugated(pair, _haar_unitary(np.random.default_rng(case[2]),
+                                           pair.space.dim))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(_ONLY_IF_PAIRS)
+def test_battery_property_projected_wandering_image_is_bounded_by_red_in(
+        case):
+    """The theorem's "only if" half: ``r_iii <= red_in``.
+
+    Let ``P`` project onto ``H = H_inf(S1)`` and let ``E`` be the battery's
+    wandering subspace, ``ker S1^H`` on the probe. Since
+    ``H ⊆ ran S1 = (ker S1^H)^perp``, ``E`` is orthogonal to ``H``, so
+    ``(I - P) E = E`` and ``P S2 E = P S2 (I - P) E``. Its norm is at most
+    ``||P S2 (I - P)||``, which is ``red_in``, the second term of
+    ``reducing_residual(S2, H)``. So if ``H`` reduces ``S2``, the projected
+    wandering image ``r_iii`` vanishes.
+    """
+    pair = _only_if_pair(case)
+    rep = verdict_battery(pair)
+    red_in = reducing_residual(pair.s2.matrix, pair.hyper_range_1)[1]
+    assert rep.r_iii <= red_in + 1e-12
+
+
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(st.sampled_from(["three-part", "four-block"]), st.integers(0, 2 ** 16),
+       st.integers(0, 2 ** 32 - 1))
+def test_spectral_analyses_property_commute_with_unitary_conjugation(
+        kind, seed, qseed):
+    pair = three_part_pair(seed, degree=40)[0] if kind == "three-part" \
+        else four_block_pair(seed)[0]
+    moved = _conjugated(pair, _haar_unitary(np.random.default_rng(qseed),
+                                            pair.space.dim))
+    base, turned = finiteness_checks(pair), finiteness_checks(moved)
+    for field in ("dim_a", "dim_b", "spectrum_card", "verdict"):
+        assert getattr(turned, field) == getattr(base, field)
+    base, turned = point_spectrum_part(pair), point_spectrum_part(moved)
+    assert turned.subspace.dim == base.subspace.dim
+    assert len(turned.eigenpairs) == len(base.eigenpairs)
+    want = np.array([lam for lam, _ in base.eigenpairs])
+    got = np.array([lam for lam, _ in turned.eigenpairs])
+    if want.size:
+        gap = np.abs(got[:, None] - want[None, :])
+        assert gap.min(axis=0).max() <= 1e-8
+        assert gap.min(axis=1).max() <= 1e-8
 
 
 _WORKING_SIZE_PAIRS = {

@@ -12,7 +12,7 @@ from woldlab import wold
 from woldlab.errors import DomainError, PrecisionError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
-from woldlab.linalg import Subspace, subspace_distance
+from woldlab.linalg import Subspace, complement, subspace_distance
 from woldlab.pairs import (biunitary_pair, construct_example, four_block_pair,
                            tensor_shift_pair, three_part_pair)
 from woldlab.symbols import blaschke, constant, polynomial
@@ -243,14 +243,18 @@ def _unitary_plus_jordan(k, seed):
     return _scrambled(sla.block_diag(u, np.eye(k, k=-1)), seed + 1)
 
 
+def _leaky_core():
+    core = np.zeros((4, 4), dtype=np.complex128)
+    core[0] = 1.0
+    core[1:, 1:] = 0.05 * np.eye(3) + 5.0 * np.eye(3, k=1)
+    return core
+
+
 def _leaky_guess():
     # T^8 has a wide gap at the rank cut and T is well conditioned on its
     # range, but the strongly non-normal Jordan block (eigenvalue 0.05)
     # leaves that range about 4e-6 * ||T|| away from invariance
-    core = np.zeros((4, 4), dtype=np.complex128)
-    core[0] = 1.0
-    core[1:, 1:] = 0.05 * np.eye(3) + 5.0 * np.eye(3, k=1)
-    return _scrambled(core, 0)
+    return _scrambled(_leaky_core(), 0)
 
 
 def _random_noncontraction():
@@ -314,6 +318,47 @@ def test_hyper_range_falls_back_when_a_guard_fails(make, nilpotent):
     else:
         assert np.array_equal(hyper_range(t).basis,
                               hyper_range_nested(t).basis)
+
+
+def _leaky_guess_plus_jordan():
+    # the leaking guess fails its guard beside a nilpotent Jordan chain, so
+    # the nested iteration runs on all of T and leaves a 3-dim complement
+    return _scrambled(sla.block_diag(_leaky_core(), np.eye(3, k=-1)), 0)
+
+
+def _unitary_plus_nonnormal_nilpotent():
+    # the guess is accepted, and the nested iteration runs on the
+    # compression to its complement, which the ladder cannot certify
+    rng = np.random.default_rng(6)
+    core = sla.block_diag(_haar_unitary(rng, 3),
+                          np.array([[0, 0, 0], [1, 0, 0], [0.7, 1, 0]]))
+    return _scrambled(core, 7)
+
+
+@pytest.mark.parametrize("make, nested", [
+    (_leaky_guess, True),
+    (lambda: _scrambled(np.diag([1.0, 3e-10 ** 0.25]), 4), True),
+    (_leaky_guess_plus_jordan, True),
+    (_unitary_plus_nonnormal_nilpotent, True),
+    (lambda: _unitary_plus_jordan(24, 3), False),
+], ids=["leaky-guess", "thin-cut", "leaky-guess-plus-jordan",
+        "unitary-plus-nonnormal-nilpotent", "unitary-plus-jordan"])
+def test_hyper_range_split_complement_matches_complement_oracle(
+        make, nested, monkeypatch):
+    t = make()
+    runs = []
+    real = wold._nested_range
+
+    def counting(*args, **kwargs):
+        runs.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wold, "_nested_range", counting)
+    h_inf, perp = wold.hyper_range_split(t)
+    assert bool(runs) is nested
+    assert np.array_equal(h_inf.basis, hyper_range(t).basis)
+    assert h_inf.dim + perp.dim == t.shape[0]
+    assert subspace_distance(perp, complement(h_inf)) <= 1e-12
 
 
 _STRICTLY_LOWER = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
