@@ -24,8 +24,6 @@ from .hardy import (
     direct_sum,
     double_commutation_defect,
     hardy_space,
-    isometry_defect,
-    kernel_section,
     multiplier,
     shift,
 )
@@ -37,7 +35,6 @@ from .linalg import (
     operator_norm,
     orthonormalize,
     pivoted_cholesky,
-    principal_angles,
     reducing_residual,
     subspace_distance,
 )
@@ -47,9 +44,7 @@ from .moments import (
     block_model_check,
     block_model_from_assembly,
     finite_spectrum_forcing,
-    intertwining_check,
     moment_match,
-    orthogonality_from_first,
 )
 from .pairs import (
     ExampleAssembly,
@@ -64,7 +59,6 @@ from .pairs import (
     four_block_pair,
     model_decomposition,
     point_spectrum_part,
-    shift_multiplier_pair,
     slocinski,
     tensor_shift_pair,
     three_part_pair,
@@ -87,7 +81,6 @@ from .wold import (
     WoldDecomposition,
     cnu_eigenvector_span_residual,
     hyper_range,
-    shimorin_condition,
     unitary_part,
     wold_split,
 )
@@ -98,24 +91,22 @@ __all__ = [
     "WoldlabError", "DomainError", "DimensionError", "ValidationError",
     "PrecisionError", "PreconditionError", "SchemaError",
     "Subspace", "orthonormalize", "intersect", "complement", "kernel",
-    "operator_norm", "principal_angles", "subspace_distance",
-    "reducing_residual", "pivoted_cholesky",
+    "operator_norm", "subspace_distance", "reducing_residual",
+    "pivoted_cholesky",
     "SchurSymbol", "MomentSequence", "polynomial", "constant", "blaschke",
     "taylor", "evaluate", "is_inner", "defect_weight",
     "TruncatedSpace", "GradedOperator", "hardy_space", "abstract_space",
-    "direct_sum", "shift", "multiplier", "compress", "isometry_defect",
-    "kernel_section", "double_commutation_defect",
+    "direct_sum", "shift", "multiplier", "compress",
+    "double_commutation_defect",
     "CanonicalDecomposition", "WoldDecomposition", "unitary_part",
-    "hyper_range", "wold_split", "shimorin_condition",
-    "cnu_eigenvector_span_residual",
+    "hyper_range", "wold_split", "cnu_eigenvector_span_residual",
     "OperatorPair", "ExampleAssembly", "VerdictReport",
     "ModelDecomposition", "SlocinskiDecomposition", "validate_pair",
     "construct_example", "verdict_battery", "model_decomposition",
     "slocinski", "point_spectrum_part", "finiteness_checks",
-    "shift_multiplier_pair", "tensor_shift_pair", "biunitary_pair",
+    "tensor_shift_pair", "biunitary_pair",
     "constant_shift_pair", "three_part_pair", "four_block_pair",
     "BlockModel", "ForcingReport", "block_model_from_assembly",
-    "block_model_check", "intertwining_check", "orthogonality_from_first",
-    "moment_match", "finite_spectrum_forcing",
+    "block_model_check", "moment_match", "finite_spectrum_forcing",
     "__version__",
 ]

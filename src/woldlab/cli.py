@@ -28,8 +28,9 @@ from . import __version__
 from .errors import SchemaError, WoldlabError
 from .hardy import GradedOperator, abstract_space, compress, direct_sum, \
     hardy_space, shift
-from .symbols import SchurSymbol, coefficient_tail_bound, evaluate, \
-    symbol_from_literal, unit_circle_grid
+from .symbols import SchurSymbol, blaschke_required_order, \
+    coefficient_tail_bound, defect_weight, evaluate, symbol_from_literal, \
+    unit_circle_grid
 from .wold import wold_split
 
 __all__ = ["RunConfig", "validate_config", "run", "main"]
@@ -402,7 +403,6 @@ def _run_moments(cfg: RunConfig, warnings: list):
 
 def _run_forcing(cfg: RunConfig, warnings: list):
     from .moments import finite_spectrum_forcing
-    from .symbols import defect_weight
 
     sym = _require_symbol(cfg, "forcing")
     warnings.append(
@@ -476,8 +476,6 @@ def run(cfg: RunConfig, command: str) -> tuple:
             f"choice {command!r} wins"
         )
     if cfg.symbol is not None and cfg.symbol.kind == "blaschke":
-        from .symbols import blaschke_required_order
-
         order = cfg.symbol.truncation_hint
         if order is None:
             order = blaschke_required_order(cfg.symbol, max(cfg.levels))

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
-from .linalg import Subspace, gram_defect
+from .errors import DimensionError, DomainError
+from .linalg import Subspace
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
     coefficient_tail_bound,
-    evaluate,
     taylor,
 )
 
@@ -38,9 +37,6 @@ __all__ = [
     "shift",
     "multiplier",
     "compress",
-    "isometry_defect",
-    "kernel_section",
-    "kernel_adjoint_residual",
     "double_commutation_defect",
 ]
 
@@ -129,22 +125,13 @@ class GradedOperator:
         if self.window is None:
             self.window = self.domain.degree
 
-    def window_mask(self, window: int | None = None) -> np.ndarray:
+    def window_mask(self) -> np.ndarray:
         """Boolean mask of domain coordinates with degree <= window."""
-        w = self.window if window is None else window
-        return self.domain.degrees_array() <= w
+        return self.domain.degrees_array() <= self.window
 
-    def restricted(self, window: int | None = None) -> np.ndarray:
+    def restricted(self) -> np.ndarray:
         """Columns of the matrix restricted to exact input coordinates."""
-        return self.matrix[:, self.window_mask(window)]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        arr = np.asarray(vec, dtype=np.complex128)
-        if arr.shape[0] != self.domain.dim:
-            raise DimensionError(
-                f"vector of length {arr.shape[0]} does not fit domain of dimension {self.domain.dim}"
-            )
-        return self.matrix @ arr
+        return self.matrix[:, self.window_mask()]
 
 
 def shift(fiber_dim: int, degree: int) -> GradedOperator:
@@ -209,51 +196,6 @@ def compress(op: GradedOperator, degree: int | None = None) -> GradedOperator:
         window=min(op.window, cut - op.growth),
         tail_bound=op.tail_bound,
     )
-
-
-def isometry_defect(op: GradedOperator, window: int | None = None) -> float:
-    """``||A^H A - I||`` over input coordinates the operator is exact on."""
-    return gram_defect(op.restricted(window))
-
-
-def kernel_section(w: complex, fiber_vec: np.ndarray, degree: int) -> np.ndarray:
-    """Coordinates of the reproducing-kernel direction at a disc point.
-
-    Returns the vector with degree-j block ``conj(w)^j * fiber_vec``; pairing
-    a polynomial against it evaluates the polynomial at ``w`` (up to the
-    truncated tail for |w| close to 1).
-    """
-    if abs(w) >= 1.0:
-        raise DomainError("kernel sections live over the open disc")
-    f = np.asarray(fiber_vec, dtype=np.complex128).reshape(-1)
-    powers = np.conj(w) ** np.arange(degree + 1)
-    return np.kron(powers, f)
-
-
-def kernel_adjoint_residual(sym: SchurSymbol, w: complex,
-                            fiber_vec: np.ndarray, degree: int) -> float:
-    """Residual of the adjoint-multiplier action on a kernel section.
-
-    The adjoint of multiplication by phi sends the section at ``w`` with
-    fiber vector f to the section with fiber vector ``phi(w)^H f``. The
-    residual is measured on coordinates of degree <= degree, with the
-    operator built on an elevated window so truncation cannot leak in,
-    and is normalized by the section norm.
-    """
-    g = _multiplier_order(sym)
-    hi = degree + g
-    op = multiplier(sym, hi)
-    sec = kernel_section(w, fiber_vec, hi)
-    lhs_full = op.matrix.conj().T @ np.concatenate(
-        [sec, np.zeros(op.codomain.dim - sec.size)])
-    rhs_full = kernel_section(w, evaluate(sym, w).conj().T @ np.asarray(
-        fiber_vec, dtype=np.complex128).reshape(-1), hi)
-    d = sym.fiber_dim
-    keep = d * (degree + 1)
-    scale = float(np.linalg.norm(kernel_section(w, fiber_vec, degree)))
-    if scale == 0.0:
-        raise ValidationError("fiber vector must be nonzero")
-    return float(np.linalg.norm(lhs_full[:keep] - rhs_full[:keep])) / scale
 
 
 def double_commutation_defect(sym: SchurSymbol, degree: int) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "intersect",
     "complement",
     "reducing_residual",
-    "principal_angles",
     "subspace_distance",
     "operator_norm",
     "gram_defect",
@@ -178,20 +177,6 @@ def reducing_residual(t, s: Subspace) -> tuple[float, float]:
     mq = m @ q
     a = qh @ mq
     return (operator_norm(mq - q @ a), operator_norm(qh @ m - a @ qh))
-
-
-def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces, ascending, in [0, pi/2].
-
-    The cosines are the singular values of a^H b clamped to [0, 1]; the
-    number of angles is min(dim a, dim b).
-    """
-    _check_same_ambient(a, b)
-    k = min(a.dim, b.dim)
-    if k == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(a.basis.conj().T @ b.basis, compute_uv=False)
-    return np.arccos(np.clip(s[:k], 0.0, 1.0))
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:

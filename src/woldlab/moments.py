@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .hardy import compress, multiplier, shift
 from .linalg import (gram_defect, operator_norm, unimodular_clusters,
                      unitarity_defect)
@@ -30,8 +30,6 @@ __all__ = [
     "ForcingReport",
     "block_model_from_assembly",
     "block_model_check",
-    "intertwining_check",
-    "orthogonality_from_first",
     "moment_match",
     "nnls_projected",
     "finite_spectrum_forcing",
@@ -123,68 +121,6 @@ def block_model_check(model: BlockModel, degree: int | None = None) -> dict:
         "a_orthogonality": float(a_orth),
         "defect_identity": float(defect),
     }
-
-
-def intertwining_check(u: np.ndarray, b: np.ndarray) -> tuple:
-    """How faithfully the unitary walks the embedded monomial columns.
-
-    Returns the one-step residual, the norm of ``u b[:, :-1] - b[:, 1:]``,
-    together with the accumulated worst drift of column k from the k-th
-    power image of column zero.
-
-    Raises
-    ------
-    PreconditionError
-        If ``u`` is not unitary within 1e-8.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    defect = unitarity_defect(u)
-    if defect > 1e-8:
-        raise PreconditionError(
-            f"walk operator is not unitary: defect {defect:.3e}"
-        )
-    cols = b.shape[1]
-    one_step = operator_norm(u @ b[:, :-1] - b[:, 1:]) if cols > 1 else 0.0
-    drift = 0.0
-    v = b[:, 0].copy()
-    for k in range(1, cols):
-        v = u @ v
-        drift = max(drift, float(np.linalg.norm(b[:, k] - v)))
-    return float(one_step), drift
-
-
-def orthogonality_from_first(a: np.ndarray, b: np.ndarray,
-                             u: np.ndarray) -> tuple:
-    """Orthogonality of the raised space to all embedded columns.
-
-    The unitary walk propagates orthogonality from the first column to
-    the rest, so the full block norm is reported next to the first-column
-    norm it is controlled by.
-
-    Raises
-    ------
-    PreconditionError
-        If ``u`` is not unitary within 1e-8 or does not commute with
-        ``a`` within 1e-8; the message names the violated identity.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    u = np.asarray(u, dtype=np.complex128)
-    u_def = unitarity_defect(u)
-    if u_def > 1e-8:
-        raise PreconditionError(
-            f"walk operator is not unitary: defect {u_def:.3e}"
-        )
-    comm = operator_norm(u @ a - a @ u)
-    if comm > 1e-8:
-        raise PreconditionError(
-            f"walk operator does not commute with the raising block: "
-            f"residual {comm:.3e}"
-        )
-    full = operator_norm(a.conj().T @ b)
-    first = float(np.linalg.norm(a.conj().T @ b[:, 0]))
-    return float(full), first
 
 
 def moment_match(u: np.ndarray, b1: np.ndarray, phi: SchurSymbol,

@@ -65,9 +65,9 @@ from .linalg import (
     unitarity_defect,
     zero_subspace,
 )
-from .symbols import SchurSymbol, defect_weight
-from .wold import (CanonicalDecomposition, hyper_range, hyper_range_split,
-                   unitary_part, wandering_subspace)
+from .symbols import SchurSymbol, blaschke, defect_weight
+from .wold import (CanonicalDecomposition, as_graded, hyper_range,
+                   hyper_range_split, unitary_part, wandering_subspace)
 
 __all__ = [
     "OperatorPair",
@@ -85,7 +85,6 @@ __all__ = [
     "slocinski",
     "point_spectrum_part",
     "finiteness_checks",
-    "shift_multiplier_pair",
     "tensor_shift_pair",
     "biunitary_pair",
     "constant_shift_pair",
@@ -310,8 +309,6 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     DomainError
         If a measured defect exceeds 1e-8; the message carries the value.
     """
-    from .wold import as_graded
-
     a = as_graded(s1)
     b = as_graded(s2)
     if a.domain.dim != a.codomain.dim or b.domain.dim != b.codomain.dim:
@@ -457,13 +454,6 @@ def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
                                factor=c, v_hat=v_hat,
                                b1=c[:, 0].copy(), rank=r)
     return validate_pair(s1, s2, probe, assembly)
-
-
-def shift_multiplier_pair(sym: SchurSymbol, degree: int) -> OperatorPair:
-    """The pair (shift, multiplication by an inner symbol) on one window."""
-    s1 = compress(shift(sym.fiber_dim, degree))
-    s2 = compress(multiplier(sym, degree))
-    return validate_pair(s1, s2)
 
 
 def _level_caps(top: int, n_levels: int) -> list:
@@ -836,8 +826,6 @@ def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
     summand's probe margin scales with the zero modulus so the truncated
     columns it vouches for are isometric to well below 1e-8.
     """
-    from .symbols import blaschke
-
     rng = np.random.default_rng(seed)
     v1, v2 = _commuting_unitaries(rng, uu_dim)
     psi = np.exp(2j * np.pi * rng.random())

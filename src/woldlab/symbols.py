@@ -27,7 +27,6 @@ __all__ = [
     "constant",
     "blaschke",
     "taylor",
-    "scalar_coefficients",
     "evaluate",
     "unit_circle_grid",
     "is_inner",
@@ -212,13 +211,6 @@ def taylor(sym: SchurSymbol, order: int) -> np.ndarray:
             factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** (k - 1)
         acc = np.convolve(acc, factor)[: order + 1]
     return acc.reshape(-1, 1, 1)
-
-
-def scalar_coefficients(sym: SchurSymbol, order: int) -> np.ndarray:
-    """Flat complex coefficient vector for scalar symbols."""
-    if sym.fiber_dim != 1:
-        raise DomainError("scalar coefficients requested for a matrix symbol")
-    return taylor(sym, order)[:, 0, 0]
 
 
 def evaluate(sym: SchurSymbol, z) -> np.ndarray:

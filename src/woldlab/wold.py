@@ -9,9 +9,7 @@ decomposition completeness, and reducing defects are all measured.
 
 The finite model cannot hold an honest infinite intersection, so the
 hyper-range of a plain matrix means exactly what the matrix says (an
-invertible matrix has full hyper-range), while graded operators shrink
-their trusted window as powers accumulate and fail loudly when the window
-runs out before the ranges stabilize.
+invertible matrix has full hyper-range).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ValidationError
+from .errors import DomainError, ValidationError
 from .hardy import GradedOperator, _coordinate_subspace, abstract_space
 from .linalg import (
     Subspace,
@@ -46,7 +44,6 @@ __all__ = [
     "hyper_range_split",
     "wold_split",
     "wandering_subspace",
-    "shimorin_condition",
     "cnu_eigenvector_span_residual",
     "as_graded",
 ]
@@ -235,18 +232,16 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     sound but not complete: a non-normal nilpotent matrix can fail it and
     reach the nested iteration.
 
-    For a graded operator each power burns ``growth`` degrees of the
-    trusted window, and the ranges are intersected with the shrinking
-    window until they stabilize or the window runs out.
-
     Raises
     ------
-    PrecisionError
-        Graded path only: the window was exhausted before the ranges
-        stabilized; the message reports the deepest reliable level.
+    DomainError
+        If the input is not a square array. A ``GradedOperator`` is
+        refused rather than read without its window; pass its ``.matrix``.
     """
     if isinstance(t, GradedOperator):
-        return _hyper_range_graded(t, tol)
+        raise DomainError(
+            "hyper_range takes a square array, not a GradedOperator; "
+            "pass its .matrix")
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
@@ -361,31 +356,6 @@ def _deflated_range(m: np.ndarray,
             u[:, h:] @ complement(rest).basis)
 
 
-def _hyper_range_graded(op: GradedOperator, tol: float) -> Subspace:
-    if op.domain.dim != op.codomain.dim:
-        raise DomainError("graded hyper-range needs a square compression")
-    growth = max(op.growth, 1)
-    w = op.window
-    cur = _coordinate_subspace(op.window_mask(w))
-    level = 0
-    for _ in range(w // growth + 1):
-        if w - growth < 0:
-            raise PrecisionError(
-                f"window exhausted at level {level} (dim {cur.dim}) before "
-                f"the ranges stabilized; rebuild at a higher degree"
-            )
-        image = orthonormalize(op.matrix @ cur.basis, tol)
-        w -= growth
-        nxt = intersect(image, _coordinate_subspace(
-            op.codomain.degrees_array() <= w))
-        level += 1
-        reference = intersect(cur, _coordinate_subspace(op.window_mask(w)))
-        if nxt.dim == reference.dim and subspace_distance(nxt, reference) <= tol:
-            return nxt
-        cur = nxt
-    return cur
-
-
 def wandering_subspace(t: np.ndarray) -> Subspace:
     """Wandering directions of an isometric-type operator.
 
@@ -452,30 +422,6 @@ def wold_split(s, n_max: int) -> WoldDecomposition:
         completeness_residual=worst,
         ladder_orthogonality=mutual_orthogonality(ladder),
     )
-
-
-def shimorin_condition(t) -> tuple[bool, float]:
-    """Concavity-type test ``T T^H + (T^H T)^(-1) <= 2 I``.
-
-    Returns ``(verdict, mu)`` where ``mu`` is the most negative eigenvalue
-    of ``2I - T T^H - (T^H T)^(-1)`` and the verdict asks ``mu >= -1e-10``.
-
-    Raises
-    ------
-    DomainError
-        If the smallest singular value is at most 1e-10, in which case the
-        inverse above is meaningless.
-    """
-    m = as_matrix(t, "operator")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"square matrix required, got shape {m.shape}")
-    smin = float(np.linalg.svd(m, compute_uv=False)[-1]) if m.size else 0.0
-    if smin <= 1e-10:
-        raise DomainError(f"operator is numerically singular: sigma_min {smin:.3e}")
-    gram = m.conj().T @ m
-    slack = 2.0 * np.eye(m.shape[0]) - m @ m.conj().T - np.linalg.inv(gram)
-    mu = float(np.min(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)))
-    return (mu >= -1e-10, mu)
 
 
 def cnu_eigenvector_span_residual(s, grid) -> float:

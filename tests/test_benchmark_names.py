@@ -36,3 +36,14 @@ def test_every_traced_metric_names_a_public_function_or_class():
             assert any(callable(members.get(child))
                        for members in public.values()), \
                 f"{metric}: {child} is public in no layer"
+
+
+def test_every_exported_name_resolves():
+    # the tracer reads every name in each layer's __all__; a stale entry
+    # would stop it before the first operation
+    for layer in LAYERS:
+        assert _public(layer)
+    package = importlib.import_module("woldlab")
+    missing = [name for name in package.__all__
+               if not hasattr(package, name)]
+    assert not missing, f"woldlab.__all__ names missing objects: {missing}"

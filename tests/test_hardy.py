@@ -1,21 +1,16 @@
 import numpy as np
-import pytest
 
-from woldlab.errors import DimensionError
 from woldlab.hardy import (
-    GradedOperator,
     abstract_space,
     compress,
     direct_sum,
     double_commutation_defect,
     hardy_space,
-    isometry_defect,
-    kernel_adjoint_residual,
-    kernel_section,
     multiplier,
     shift,
 )
-from woldlab.symbols import blaschke, constant, polynomial, scalar_coefficients
+from woldlab.linalg import gram_defect
+from woldlab.symbols import blaschke, constant, polynomial, taylor
 
 
 def test_hardy_space_layout():
@@ -47,14 +42,14 @@ def test_shift_is_exact_isometry():
     assert m.shape == (12, 10)
     assert np.allclose(m.conj().T @ m, np.eye(10), atol=1e-15)
     assert op.growth == 1
-    assert isometry_defect(op) < 1e-15
+    assert gram_defect(op.restricted()) < 1e-15
 
 
 def test_multiplier_first_column_is_taylor():
     sym = polynomial([0.5, 0.25, 0.125])
     op = multiplier(sym, 4)
     col = op.matrix[:, 0]
-    c = scalar_coefficients(sym, 2)
+    c = taylor(sym, 2)[:, 0, 0]
     assert np.allclose(col[:3], c, atol=1e-15)
     assert np.allclose(col[3:], 0.0, atol=1e-15)
 
@@ -84,7 +79,7 @@ def test_compressed_shift_window():
     op = compress(shift(1, 6))
     assert op.matrix.shape == (7, 7)
     assert op.window == 5
-    assert isometry_defect(op) < 1e-15
+    assert gram_defect(op.restricted()) < 1e-15
     assert np.linalg.norm(op.matrix @ np.eye(7)[:, 6]) < 1e-15
 
 
@@ -110,30 +105,10 @@ def test_compress_beyond_top_degree_keeps_everything():
     assert np.allclose(out.matrix, op.matrix)
 
 
-def test_graded_operator_apply_checks_dims():
-    op = shift(1, 3)
-    with pytest.raises(DimensionError):
-        op.apply(np.ones(9))
-
-
 def test_isometry_defect_of_contractive_multiplier():
     sym = polynomial([0.0, 0.5])
     op = compress(multiplier(sym, 6))
-    assert abs(isometry_defect(op) - 0.75) < 1e-12
-
-
-def test_kernel_section_matches_adjoint_eigenvector():
-    sym = blaschke([0.5], truncation_hint=80)
-    for w in (0.2, -0.3 + 0.2j):
-        resid = kernel_adjoint_residual(sym, w, np.array([1.0]), 48)
-        assert resid < 1e-10
-
-
-def test_kernel_section_shape():
-    v = kernel_section(0.5, np.array([1.0, 0.0]), 3)
-    assert v.shape == (8,)
-    assert abs(v[0] - 1.0) < 1e-15
-    assert abs(v[2] - 0.5) < 1e-15
+    assert abs(gram_defect(op.restricted()) - 0.75) < 1e-12
 
 
 def test_double_commutation_defect_frozen_values():

@@ -13,7 +13,6 @@ from woldlab.linalg import (
     operator_norm,
     orthonormalize,
     pivoted_cholesky,
-    principal_angles,
     reducing_residual,
     subspace_distance,
     unimodular_clusters,
@@ -113,14 +112,6 @@ def test_kernel_known():
     k = kernel(m)
     assert k.dim == 1
     assert np.linalg.norm(m @ k.basis) < 1e-12
-
-
-def test_principal_angles_quarter_turn():
-    a = Subspace(np.eye(2)[:, :1].astype(complex))
-    v = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    b = Subspace(v.astype(complex))
-    ang = principal_angles(a, b)
-    assert abs(ang[0] - np.pi / 4) < 1e-12
 
 
 def test_subspace_distance_properties():

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from woldlab.errors import DomainError, PreconditionError
+from woldlab.errors import DomainError
 from woldlab.moments import (block_model_check, block_model_from_assembly,
-                             finite_spectrum_forcing, intertwining_check,
-                             moment_match, nnls_projected,
-                             orthogonality_from_first)
+                             finite_spectrum_forcing, moment_match,
+                             nnls_projected)
 from woldlab.pairs import construct_example
 from woldlab.symbols import blaschke, polynomial
 
@@ -50,32 +49,6 @@ def test_block_model_needs_a_nontrivial_boundary():
     pair = construct_example(blaschke([0.5], truncation_hint=120), 16)
     with pytest.raises(DomainError):
         block_model_from_assembly(pair.assembly)
-
-
-def test_unitary_walk_reproduces_embedded_columns(half_model):
-    one_step, drift = intertwining_check(half_model.u, half_model.b)
-    assert one_step == 0.0
-    assert drift == 0.0
-
-
-def test_intertwining_check_requires_unitary_walk(half_model):
-    with pytest.raises(PreconditionError, match="unitary"):
-        intertwining_check(0.5 * np.eye(half_model.u.shape[0]), half_model.b)
-
-
-def test_raised_space_is_orthogonal_to_embedding(half_model):
-    full, first = orthogonality_from_first(half_model.a, half_model.b,
-                                           half_model.u)
-    assert full == 0.0
-    assert first == 0.0
-
-
-def test_orthogonality_check_requires_commuting_walk(half_model):
-    rng = np.random.default_rng(4)
-    n = half_model.u.shape[0]
-    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-    with pytest.raises(PreconditionError, match="commute"):
-        orthogonality_from_first(half_model.a, half_model.b, q)
 
 
 def test_moments_walk_down_matches_weight_coefficients(average_model):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
-from woldlab.hardy import GradedOperator, abstract_space
+from woldlab.hardy import (GradedOperator, abstract_space, compress,
+                           multiplier, shift)
 from woldlab.linalg import (Subspace, complement, mutual_orthogonality,
                             operator_norm, orthonormalize, reducing_residual,
                             subspace_distance, unimodular_clusters,
@@ -17,9 +18,8 @@ from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            construct_example, finiteness_checks,
                            four_block_pair, model_decomposition,
-                           point_spectrum_part, shift_multiplier_pair,
-                           slocinski, tensor_shift_pair, three_part_pair,
-                           validate_pair, verdict_battery)
+                           point_spectrum_part, slocinski, tensor_shift_pair,
+                           three_part_pair, validate_pair, verdict_battery)
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
 from woldlab.wold import unitary_part, wandering_subspace
 
@@ -69,7 +69,8 @@ def test_validate_pair_rejects_probe_from_another_space():
 
 def test_default_probe_needs_room_below_the_growth():
     with pytest.raises(ValidationError, match="probe"):
-        shift_multiplier_pair(polynomial([0, 1.0]), 1)
+        validate_pair(compress(shift(1, 1)),
+                      compress(multiplier(polynomial([0, 1.0]), 1)))
 
 
 def test_construct_example_half_shift_gram_is_scalar():
@@ -396,7 +397,9 @@ def test_slocinski_property_commutes_with_unitary_conjugation(seed, qseed):
 
 
 def test_slocinski_rejects_pair_without_double_commutation():
-    pair = shift_multiplier_pair(blaschke([0.5], truncation_hint=60), 52)
+    pair = validate_pair(
+        compress(shift(1, 52)),
+        compress(multiplier(blaschke([0.5], truncation_hint=60), 52)))
     with pytest.raises(PreconditionError, match="8.660e-01"):
         slocinski(pair)
 
@@ -639,6 +642,26 @@ def test_battery_property_projected_wandering_image_is_bounded_by_red_in(
     rep = verdict_battery(pair)
     red_in = reducing_residual(pair.s2.matrix, pair.hyper_range_1)[1]
     assert rep.r_iii <= red_in + 1e-12
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+       st.sampled_from([8, 16, 32]))
+def test_battery_property_wandering_leak_has_closed_form(seed, n_coeffs, d):
+    """The negative side: ``r_iii = sqrt(1 - sum |c_k|^2)``.
+
+    For ``phi = sum c_k z^k`` with ``sum |c_k| <= 1``, ``ker S1^H`` on the
+    probe is the scalar constant ``1`` of the Hardy summand. ``S2 1`` is
+    ``phi`` in the Hardy summand plus ``b1 = C[:, 0]`` in the boundary
+    summand, and the boundary summand is ``H_inf(S1)``. So ``r_iii`` is
+    ``||b1||``, and ``||b1||^2 = G[0, 0] = w_hat(0) = 1 - sum |c_k|^2``, the
+    mean of the defect weight ``w = 1 - |phi|^2`` on the circle.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n_coeffs) + 1j * rng.normal(size=n_coeffs)
+    c *= rng.uniform(0.05, 1.0) / np.abs(c).sum()
+    rep = verdict_battery(construct_example(polynomial(c), d))
+    assert abs(rep.r_iii - np.sqrt(1.0 - np.sum(np.abs(c) ** 2))) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)

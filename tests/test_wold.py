@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woldlab import wold
-from woldlab.errors import DomainError, PrecisionError
+from woldlab.errors import DomainError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
 from woldlab.linalg import Subspace, complement, subspace_distance
@@ -17,7 +17,7 @@ from woldlab.pairs import (biunitary_pair, construct_example, four_block_pair,
                            tensor_shift_pair, three_part_pair)
 from woldlab.symbols import blaschke, constant, polynomial
 from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
-                          shimorin_condition, unitary_part, wold_split)
+                          unitary_part, wold_split)
 
 from oracles import (hyper_range_nested, ladder_audits_pairwise,
                      unitary_part_iterated, unitary_part_stacked)
@@ -448,16 +448,12 @@ def test_hyper_range_needs_no_nested_iteration_on_workload_inputs(
     assert subspace_distance(got, want) <= 1e-12
 
 
-def test_graded_hyper_range_stabilizes_for_unitary_symbol():
+def test_hyper_range_refuses_graded_operator():
+    # the window would be dropped silently; the caller passes the matrix
     op = compress(multiplier(constant(np.array([[1j]])), 8))
-    assert hyper_range(op).dim == 8
-
-
-def test_graded_hyper_range_reports_window_exhaustion():
-    op = compress(multiplier(polynomial([0, 0, 0, 1.0]), 8))
-    assert op.growth == 3 and op.window == 5
-    with pytest.raises(PrecisionError):
+    with pytest.raises(DomainError, match=r"\.matrix"):
         hyper_range(op)
+    assert hyper_range(op.matrix).dim == 9
 
 
 def test_wold_split_of_truncated_shift_is_exact():
@@ -533,25 +529,6 @@ def test_wold_split_rejects_nonisometric_window():
     sym = polynomial([0.0, 0.5])
     with pytest.raises(DomainError):
         wold_split(compress(multiplier(sym, 6)), 4)
-
-
-def test_shimorin_condition_frozen_counterexample():
-    ok, mu = shimorin_condition(np.diag([1.0, 0.9]))
-    assert not ok
-    assert abs(mu - (-0.044567901234567886)) < 1e-12
-
-
-def test_shimorin_condition_holds_for_isometry_window():
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    ok, mu = shimorin_condition(q)
-    assert ok
-    assert abs(mu) <= 1e-10
-
-
-def test_shimorin_condition_rejects_singular_input():
-    with pytest.raises(DomainError):
-        shimorin_condition(np.diag([1.0, 0.0]))
 
 
 def test_cnu_sections_span_shift_part():
