@@ -9,8 +9,10 @@ coordinates that are actually exact.
 
 Square compressions of multipliers are lower triangular in the degree
 grading, which makes them exact on every window they see; what truncation
-loses is output mass above the top degree. The module records that loss as
-a certified coefficient tail bound instead of pretending it is zero.
+loses is output mass above the top degree. ``multiplier`` keeps every
+coefficient up to the symbol's certified order, and
+``symbols.coefficient_tail_bound`` certifies the mass it drops past that
+order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .linalg import Subspace
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
-    coefficient_tail_bound,
     taylor,
 )
 
@@ -47,7 +48,6 @@ class TruncatedSpace:
 
     dim: int
     coordinate_degrees: tuple
-    label: str = ""
 
     def __post_init__(self):
         if len(self.coordinate_degrees) != self.dim:
@@ -67,20 +67,20 @@ def _coordinate_subspace(mask: np.ndarray) -> Subspace:
     return Subspace(np.eye(mask.size, dtype=np.complex128)[:, mask])
 
 
-def hardy_space(fiber_dim: int, degree: int, label: str = "") -> TruncatedSpace:
+def hardy_space(fiber_dim: int, degree: int) -> TruncatedSpace:
     """Truncated Hardy space of C^fiber_dim-valued polynomials up to degree."""
     if fiber_dim < 1 or degree < 0:
         raise DomainError("need fiber_dim >= 1 and degree >= 0")
     degs = tuple(k for k in range(degree + 1) for _ in range(fiber_dim))
     return TruncatedSpace(dim=fiber_dim * (degree + 1),
-                          coordinate_degrees=degs, label=label)
+                          coordinate_degrees=degs)
 
 
-def abstract_space(dim: int, label: str = "") -> TruncatedSpace:
+def abstract_space(dim: int) -> TruncatedSpace:
     """Ungraded space; every coordinate sits at degree zero."""
     if dim < 0:
         raise DomainError("dimension must be nonnegative")
-    return TruncatedSpace(dim=dim, coordinate_degrees=(0,) * dim, label=label)
+    return TruncatedSpace(dim=dim, coordinate_degrees=(0,) * dim)
 
 
 def direct_sum(*spaces: TruncatedSpace) -> tuple[TruncatedSpace, list[slice]]:
@@ -92,8 +92,7 @@ def direct_sum(*spaces: TruncatedSpace) -> tuple[TruncatedSpace, list[slice]]:
         slices.append(slice(at, at + s.dim))
         degs.extend(s.coordinate_degrees)
         at += s.dim
-    label = "+".join(s.label for s in spaces if s.label)
-    return TruncatedSpace(dim=at, coordinate_degrees=tuple(degs), label=label), slices
+    return TruncatedSpace(dim=at, coordinate_degrees=tuple(degs)), slices
 
 
 @dataclass
@@ -101,10 +100,12 @@ class GradedOperator:
     """Matrix between truncated spaces plus its exactness bookkeeping.
 
     ``growth`` bounds the degree increase (output degree <= input degree +
-    growth up to the stored tail). ``window`` is the largest input degree on
-    which the matrix reproduces the untruncated operator; coordinates above
-    it may be polluted by truncation. ``tail_bound`` certifies the l1 mass
-    of multiplier coefficients the matrix dropped.
+    growth up to the dropped coefficient tail, which
+    ``symbols.coefficient_tail_bound`` certifies). ``window`` is the largest
+    input degree on which the matrix reproduces the untruncated operator;
+    coordinates above it may be polluted by truncation. The defaults, growth
+    0 and a window over the whole domain, describe an ungraded operator
+    exact everywhere.
     """
 
     matrix: np.ndarray
@@ -112,7 +113,6 @@ class GradedOperator:
     codomain: TruncatedSpace
     growth: int = 0
     window: int | None = None
-    tail_bound: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -157,7 +157,7 @@ def multiplier(sym: SchurSymbol, degree: int,
     The codomain extends far enough to hold every retained coefficient
     (``order`` of them past each input degree; defaults to the symbol's
     certified order), so the matrix is exact on all of its domain up to the
-    recorded ``tail_bound``.
+    coefficient tail that ``symbols.coefficient_tail_bound`` certifies.
     """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
@@ -172,8 +172,7 @@ def multiplier(sym: SchurSymbol, degree: int,
             i = j + k
             m[i * d:(i + 1) * d, j * d:(j + 1) * d] = c[k]
     return GradedOperator(matrix=m, domain=dom, codomain=cod, growth=g,
-                          window=degree,
-                          tail_bound=coefficient_tail_bound(sym, g))
+                          window=degree)
 
 
 def compress(op: GradedOperator, degree: int | None = None) -> GradedOperator:
@@ -186,15 +185,13 @@ def compress(op: GradedOperator, degree: int | None = None) -> GradedOperator:
     cut = op.domain.degree if degree is None else degree
     keep = op.codomain.degrees_array() <= cut
     degs = tuple(int(x) for x in op.codomain.degrees_array()[keep])
-    cod = TruncatedSpace(dim=int(keep.sum()), coordinate_degrees=degs,
-                         label=op.codomain.label)
+    cod = TruncatedSpace(dim=int(keep.sum()), coordinate_degrees=degs)
     return GradedOperator(
         matrix=op.matrix[keep, :],
         domain=op.domain,
         codomain=cod,
         growth=op.growth,
         window=min(op.window, cut - op.growth),
-        tail_bound=op.tail_bound,
     )
 
 

@@ -20,9 +20,11 @@ measure how much was lost.
 
 All identity checks are confined to an explicit probe subspace: the set of
 coordinates on which the finite compressions provably agree with the
-operators they truncate. Fixtures that scramble their coordinates by a
-random unitary hand the scrambled probe along, since trust survives a
-change of basis even though coordinate degrees do not.
+operators they truncate. Every fixture, the weighted-boundary pair
+included, is an orthogonal sum of simple parts, each bringing its own
+blocks and its own trusted coordinates. Fixtures that scramble their
+coordinates by a random unitary hand the scrambled probe along, since
+trust survives a change of basis even though coordinate degrees do not.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .hardy import (
 from .linalg import (
     Subspace,
     complement,
-    full_subspace,
     gram_defect,
     intersect,
     kernel,
@@ -137,6 +138,10 @@ class HyperRangeSplit:
 @dataclass(frozen=True)
 class OperatorPair:
     """Validated commuting pair with its trust region and residuals.
+
+    The probe is the pair's one trust region: validation, the battery and
+    the ladders read it, and nothing reads the ``growth`` or ``window`` of
+    the two operators.
 
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
@@ -325,7 +330,8 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
         )
     if probe.dim == 0:
         raise ValidationError(
-            "empty probe: the degree is too small for the symbols' growth"
+            f"empty probe: no coordinate of the {a.domain.dim}-dimensional "
+            "space is trusted"
         )
     m1, m2 = a.matrix, b.matrix
     comm = operator_norm((m1 @ m2 - m2 @ m1) @ probe.basis)
@@ -410,50 +416,27 @@ def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
         raise DomainError(f"symbol is not in the Schur class: {exc}") from exc
     r = c.shape[0]
     v_hat = _unitary_completion(c)
-    growth = multiplier(phi, 0).growth
-    n_int = degree + growth + 4
-    h_sp = hardy_space(1, n_int, label="scalar")
-    m_phi = compress(multiplier(phi, n_int)).matrix
-    if r == 0:
-        s1 = GradedOperator(matrix=compress(shift(1, n_int)).matrix,
-                            domain=h_sp, codomain=h_sp, growth=1,
-                            window=n_int - 1)
-        s2 = GradedOperator(matrix=m_phi, domain=h_sp, codomain=h_sp,
-                            growth=growth, window=n_int - growth)
-        degs = h_sp.degrees_array()
-        probe = _coordinate_subspace(degs <= degree)
-        assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
-                                   factor=c, v_hat=v_hat,
-                                   b1=np.zeros(0, dtype=np.complex128), rank=0)
-        return validate_pair(s1, s2, probe, assembly)
-    g_sp = hardy_space(r, _BOUNDARY_DEGREE, label="boundary")
-    space, (sl_g, sl_h) = direct_sum(g_sp, h_sp)
-    n = space.dim
+    n_int = degree + multiplier(phi, 0).growth + 4
+    # columns j > degree continue the embedding by the boundary unitary
     cols = np.empty((r, n_int + 1), dtype=np.complex128)
     cols[:, : degree + 1] = c
     for j in range(degree + 1, n_int + 1):
         cols[:, j] = v_hat @ cols[:, j - 1]
-    m1 = np.zeros((n, n), dtype=np.complex128)
-    m1[sl_g, sl_g] = np.kron(np.eye(_BOUNDARY_DEGREE + 1), v_hat)
-    m1[sl_h, sl_h] = compress(shift(1, n_int)).matrix
-    m2 = np.zeros((n, n), dtype=np.complex128)
-    m2[sl_g, sl_g] = compress(shift(r, _BOUNDARY_DEGREE)).matrix
-    m2[sl_h, sl_h] = m_phi
-    m2[sl_g.start: sl_g.start + r, sl_h] = cols
-    s1 = GradedOperator(matrix=m1, domain=space, codomain=space, growth=1,
-                        window=_BOUNDARY_DEGREE - 1)
-    s2 = GradedOperator(matrix=m2, domain=space, codomain=space,
-                        growth=max(growth, 1),
-                        window=_BOUNDARY_DEGREE - 1)
-    degs = space.degrees_array()
-    mask = np.zeros(n, dtype=bool)
-    mask[sl_g] = degs[sl_g] <= _BOUNDARY_DEGREE - 1
-    mask[sl_h] = degs[sl_h] <= degree
-    probe = _coordinate_subspace(mask)
+    # an inner symbol has no boundary: the summand is the zero space
+    g_sp = hardy_space(r, _BOUNDARY_DEGREE) if r else abstract_space(0)
+    h_sp = hardy_space(1, n_int)
+    z_g = compress(shift(1, _BOUNDARY_DEGREE)).matrix
     assembly = ExampleAssembly(symbol=phi, degree=degree, gram=gram,
-                               factor=c, v_hat=v_hat,
-                               b1=c[:, 0].copy(), rank=r)
-    return validate_pair(s1, s2, probe, assembly)
+                               factor=c, v_hat=v_hat, b1=c[:, 0].copy(),
+                               rank=r)
+    return _block_pair(
+        [(g_sp, np.kron(np.eye(_BOUNDARY_DEGREE + 1), v_hat),
+          np.kron(z_g, np.eye(r)),
+          g_sp.degrees_array() <= _BOUNDARY_DEGREE - 1),
+         (h_sp, compress(shift(1, n_int)).matrix,
+          compress(multiplier(phi, n_int)).matrix,
+          h_sp.degrees_array() <= degree)],
+        cross=cols, assembly=assembly)
 
 
 def _level_caps(top: int, n_levels: int) -> list:
@@ -766,25 +749,65 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
                             verdict=rep.verdict, r_iii=rep.r_iii)
 
 
-def tensor_shift_pair(n1: int, n2: int) -> OperatorPair:
-    """Product-shift pair on a truncated bidegree window."""
+def _block_pair(parts, cross: np.ndarray | None = None,
+                scramble: np.ndarray | None = None,
+                assembly: ExampleAssembly | None = None) -> OperatorPair:
+    """Validated pair of block matrices, one diagonal block per part.
+
+    Each part is ``(space, a1, a2, trusted)``: a summand of ``direct_sum``,
+    the blocks of the two operators on it, and the mask of its coordinates
+    the probe trusts. ``cross``, if given, is the second operator's block
+    from the last summand into the leading coordinates of the first. A
+    unitary ``scramble`` conjugates both operators and the probe, leaving
+    an ungraded space.
+    """
+    space, slices = direct_sum(*(part[0] for part in parts))
+    n = space.dim
+    m1 = np.zeros((n, n), dtype=np.complex128)
+    m2 = np.zeros((n, n), dtype=np.complex128)
+    mask = np.zeros(n, dtype=bool)
+    for sl, (_, a1, a2, trusted) in zip(slices, parts):
+        m1[sl, sl], m2[sl, sl], mask[sl] = a1, a2, trusted
+    if cross is not None:
+        m2[:cross.shape[0], slices[-1]] = cross
+    probe = _coordinate_subspace(mask)
+    if scramble is not None:
+        space = abstract_space(n)
+        m1, m2 = (scramble @ m @ scramble.conj().T for m in (m1, m2))
+        probe = Subspace(scramble @ probe.basis)
+    return validate_pair(
+        GradedOperator(matrix=m1, domain=space, codomain=space),
+        GradedOperator(matrix=m2, domain=space, codomain=space),
+        probe, assembly)
+
+
+def _tensor_shift_part(n1: int, n2: int) -> tuple:
     if n1 < 2 or n2 < 2:
         raise DomainError("need bidegree at least (2, 2)")
     i = np.repeat(np.arange(n1 + 1), n2 + 1)
     j = np.tile(np.arange(n2 + 1), n1 + 1)
     degs = tuple(int(x) for x in np.maximum(i, j))
-    space = TruncatedSpace(dim=(n1 + 1) * (n2 + 1), coordinate_degrees=degs,
-                           label="bidegree")
+    space = TruncatedSpace(dim=(n1 + 1) * (n2 + 1), coordinate_degrees=degs)
     z1 = compress(shift(1, n1)).matrix
     z2 = compress(shift(1, n2)).matrix
-    m1 = np.kron(z1, np.eye(n2 + 1))
-    m2 = np.kron(np.eye(n1 + 1), z2)
-    s1 = GradedOperator(matrix=m1, domain=space, codomain=space, growth=1,
-                        window=min(n1, n2) - 1)
-    s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
-                        window=min(n1, n2) - 1)
-    mask = (i <= n1 - 1) & (j <= n2 - 1)
-    return validate_pair(s1, s2, _coordinate_subspace(mask))
+    return (space, np.kron(z1, np.eye(n2 + 1)), np.kron(np.eye(n1 + 1), z2),
+            (i <= n1 - 1) & (j <= n2 - 1))
+
+
+def _constant_shift_part(alpha: float, degree: int) -> tuple:
+    sp = hardy_space(1, degree)
+    if degree < 1:
+        # in a sum the other summands would hide the empty probe
+        raise ValidationError(
+            "empty probe: the shift needs degree at least 1")
+    return (sp, np.exp(1j * alpha) * np.eye(sp.dim, dtype=np.complex128),
+            compress(shift(1, degree)).matrix,
+            sp.degrees_array() <= degree - 1)
+
+
+def tensor_shift_pair(n1: int, n2: int) -> OperatorPair:
+    """Product-shift pair on a truncated bidegree window."""
+    return _block_pair([_tensor_shift_part(n1, n2)])
 
 
 def _commuting_unitaries(rng: np.random.Generator, dim: int) -> tuple:
@@ -795,24 +818,19 @@ def _commuting_unitaries(rng: np.random.Generator, dim: int) -> tuple:
                  for _ in range(2))
 
 
+def _biunitary_part(rng: np.random.Generator, dim: int) -> tuple:
+    v1, v2 = _commuting_unitaries(rng, dim)
+    return abstract_space(dim), v1, v2, np.ones(dim, dtype=bool)
+
+
 def biunitary_pair(dim: int, seed: int) -> OperatorPair:
     """Random commuting unitary pair (common eigenbasis, random phases)."""
-    m1, m2 = _commuting_unitaries(np.random.default_rng(seed), dim)
-    sp = abstract_space(dim)
-    s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp)
-    s2 = GradedOperator(matrix=m2, domain=sp, codomain=sp)
-    return validate_pair(s1, s2, full_subspace(dim))
+    return _block_pair([_biunitary_part(np.random.default_rng(seed), dim)])
 
 
 def constant_shift_pair(alpha: float, degree: int) -> OperatorPair:
     """(constant unimodular scalar, shift) on one truncated window."""
-    sp = hardy_space(1, degree)
-    m1 = np.exp(1j * alpha) * np.eye(sp.dim, dtype=np.complex128)
-    s1 = GradedOperator(matrix=m1, domain=sp, codomain=sp, growth=0,
-                        window=degree)
-    s2 = compress(shift(1, degree))
-    mask = sp.degrees_array() <= degree - 1
-    return validate_pair(s1, s2, _coordinate_subspace(mask))
+    return _block_pair([_constant_shift_part(alpha, degree)])
 
 
 def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
@@ -826,48 +844,31 @@ def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
     summand's probe margin scales with the zero modulus so the truncated
     columns it vouches for are isometric to well below 1e-8.
     """
-    rng = np.random.default_rng(seed)
-    v1, v2 = _commuting_unitaries(rng, uu_dim)
-    psi = np.exp(2j * np.pi * rng.random())
-    n_zeros = int(rng.integers(1, 3))
-    zeros = (zero_cap * np.sqrt(rng.random(n_zeros))
-             * np.exp(2j * np.pi * rng.random(n_zeros)))
-    front = np.exp(2j * np.pi * rng.random())
-    phi = blaschke(zeros, front)
-    sp_f = hardy_space(1, degree)
-    sp_e = hardy_space(1, degree)
-    space, (sl_u, sl_f, sl_e) = direct_sum(
-        abstract_space(uu_dim), sp_f, sp_e)
-    n = space.dim
-    z = compress(shift(1, degree)).matrix
-    m_phi = compress(multiplier(phi, degree)).matrix
-    m1 = np.zeros((n, n), dtype=np.complex128)
-    m2 = np.zeros((n, n), dtype=np.complex128)
-    m1[sl_u, sl_u] = v1
-    m2[sl_u, sl_u] = v2
-    m1[sl_f, sl_f] = psi * np.eye(degree + 1)
-    m2[sl_f, sl_f] = z
-    m1[sl_e, sl_e] = z
-    m2[sl_e, sl_e] = m_phi
-    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
     e_margin = int(np.ceil(np.log(1e-10) / np.log(max(zero_cap, 0.1)))) + 1
     if degree <= e_margin:
         raise DomainError(
             f"degree {degree} leaves no probed multiplier columns; "
             f"need more than {e_margin}"
         )
-    mask = np.zeros(n, dtype=bool)
-    mask[sl_u] = True
-    degs = space.degrees_array()
-    mask[sl_f] = degs[sl_f] <= degree - 2
-    mask[sl_e] = degs[sl_e] <= degree - e_margin
-    probe = Subspace(q @ np.eye(n, dtype=np.complex128)[:, mask])
-    sp = abstract_space(n)
-    s1 = GradedOperator(matrix=q @ m1 @ q.conj().T, domain=sp, codomain=sp)
-    s2 = GradedOperator(matrix=q @ m2 @ q.conj().T, domain=sp, codomain=sp)
-    pair = validate_pair(s1, s2, probe)
+    rng = np.random.default_rng(seed)
+    uu = _biunitary_part(rng, uu_dim)
+    psi = np.exp(2j * np.pi * rng.random())
+    n_zeros = int(rng.integers(1, 3))
+    zeros = (zero_cap * np.sqrt(rng.random(n_zeros))
+             * np.exp(2j * np.pi * rng.random(n_zeros)))
+    front = np.exp(2j * np.pi * rng.random())
+    phi = blaschke(zeros, front)
+    sp = hardy_space(1, degree)
+    degs = sp.degrees_array()
+    z = compress(shift(1, degree)).matrix
+    parts = [uu, (sp, psi * np.eye(degree + 1), z, degs <= degree - 2),
+             (sp, z, compress(multiplier(phi, degree)).matrix,
+              degs <= degree - e_margin)]
+    n = uu_dim + 2 * (degree + 1)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    pair = _block_pair(parts, scramble=q)
     truth = {"uu_dim": uu_dim, "psi": psi, "phi": phi, "zeros": zeros,
-             "front": front, "v1": v1, "v2": v2, "q": q}
+             "front": front, "v1": uu[1], "v2": uu[2], "q": q}
     return pair, truth
 
 
@@ -875,36 +876,13 @@ def four_block_pair(seed: int, uu_dim: int = 2, f_degree: int = 6,
                     g_degree: int = 6, bidegree: int = 5) -> tuple:
     """Direct sum exercising all four doubly commuting part types."""
     rng = np.random.default_rng(seed)
-    v1, v2 = _commuting_unitaries(rng, uu_dim)
+    uu = _biunitary_part(rng, uu_dim)
     alpha = float(2 * np.pi * rng.random())
     beta = float(2 * np.pi * rng.random())
-    us = constant_shift_pair(alpha, f_degree)
-    su = constant_shift_pair(beta, g_degree)
-    ss = tensor_shift_pair(bidegree, bidegree)
-    space, slices = direct_sum(abstract_space(uu_dim), us.space, su.space,
-                               ss.space)
-    n = space.dim
-    m1 = np.zeros((n, n), dtype=np.complex128)
-    m2 = np.zeros((n, n), dtype=np.complex128)
-    sl_u, sl_f, sl_g, sl_t = slices
-    m1[sl_u, sl_u] = v1
-    m2[sl_u, sl_u] = v2
-    m1[sl_f, sl_f] = us.s1.matrix
-    m2[sl_f, sl_f] = us.s2.matrix
-    m1[sl_g, sl_g] = su.s2.matrix
-    m2[sl_g, sl_g] = su.s1.matrix
-    m1[sl_t, sl_t] = ss.s1.matrix
-    m2[sl_t, sl_t] = ss.s2.matrix
-    mask = np.zeros(n, dtype=bool)
-    mask[sl_u] = True
-    mask[sl_f] = us.probe.basis.real.sum(axis=1) > 0.5
-    mask[sl_g] = su.probe.basis.real.sum(axis=1) > 0.5
-    mask[sl_t] = ss.probe.basis.real.sum(axis=1) > 0.5
-    s1 = GradedOperator(matrix=m1, domain=space, codomain=space, growth=1,
-                        window=min(f_degree, g_degree, bidegree) - 1)
-    s2 = GradedOperator(matrix=m2, domain=space, codomain=space, growth=1,
-                        window=min(f_degree, g_degree, bidegree) - 1)
-    pair = validate_pair(s1, s2, _coordinate_subspace(mask))
+    us = _constant_shift_part(alpha, f_degree)
+    sp, a1, a2, trusted = _constant_shift_part(beta, g_degree)
+    pair = _block_pair([uu, us, (sp, a2, a1, trusted),
+                        _tensor_shift_part(bidegree, bidegree)])
     expected = {"uu": uu_dim, "us": f_degree + 1, "su": g_degree + 1,
                 "ss": (bidegree + 1) ** 2}
     return pair, expected

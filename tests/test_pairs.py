@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import woldlab.pairs
 from woldlab.errors import (DimensionError, DomainError, PreconditionError,
@@ -13,7 +14,7 @@ from woldlab.hardy import (GradedOperator, abstract_space, compress,
 from woldlab.linalg import (Subspace, complement, mutual_orthogonality,
                             operator_norm, orthonormalize, reducing_residual,
                             subspace_distance, unimodular_clusters,
-                            unitarity_defect)
+                            unitarity_defect, zero_subspace)
 from woldlab.moments import finite_spectrum_forcing
 from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            construct_example, finiteness_checks,
@@ -71,6 +72,70 @@ def test_default_probe_needs_room_below_the_growth():
     with pytest.raises(ValidationError, match="probe"):
         validate_pair(compress(shift(1, 1)),
                       compress(multiplier(polynomial([0, 1.0]), 1)))
+
+
+def test_validate_pair_rejects_a_given_empty_probe():
+    with pytest.raises(ValidationError,
+                       match="no coordinate of the 3-dimensional space"):
+        validate_pair(np.eye(3), np.eye(3), probe=zero_subspace(3))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: four_block_pair(0, bidegree=1), DomainError),
+    (lambda: four_block_pair(0, f_degree=0), ValidationError),
+    (lambda: four_block_pair(0, g_degree=0), ValidationError),
+    (lambda: constant_shift_pair(0.3, 0), ValidationError),
+    (lambda: three_part_pair(0, degree=5), DomainError),
+], ids=["four-bidegree-1", "four-f-degree-0", "four-g-degree-0",
+        "constant-shift-0", "three-part-degree-5"])
+def test_fixtures_refuse_degrees_too_small_for_a_summand(build, error):
+    # inside a sum, the other summands' probe would hide an empty one
+    with pytest.raises(error):
+        build()
+
+
+def test_three_part_pair_checks_its_degree_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scrambling unitary was drawn")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    with pytest.raises(DomainError, match="need more than 27"):
+        three_part_pair(0, degree=5)
+
+
+@pytest.mark.parametrize("phi", [blaschke([0.5], truncation_hint=120),
+                                 constant(np.exp(0.7j))],
+                         ids=["blaschke", "constant"])
+def test_construct_example_of_inner_symbol_is_shift_and_multiplier(phi):
+    degree = 16
+    pair = construct_example(phi, degree)
+    top = pair.space.dim - 1
+    assert pair.space.coordinate_degrees == tuple(range(top + 1))
+    assert np.array_equal(pair.s1.matrix, compress(shift(1, top)).matrix)
+    assert np.array_equal(pair.s2.matrix,
+                          compress(multiplier(phi, top)).matrix)
+    assert np.array_equal(pair.probe.basis,
+                          np.eye(top + 1)[:, :degree + 1])
+
+
+def test_four_block_pair_is_the_sum_of_its_fixtures():
+    seed, f_degree, g_degree, bidegree = 3, 7, 5, 4
+    pair, _ = four_block_pair(seed, f_degree=f_degree, g_degree=g_degree,
+                              bidegree=bidegree)
+    # replay the draws: the bi-unitary block, then the two phases
+    rng = np.random.default_rng(seed)
+    v1, v2 = woldlab.pairs._commuting_unitaries(rng, 2)
+    alpha = float(2 * np.pi * rng.random())
+    beta = float(2 * np.pi * rng.random())
+    us = constant_shift_pair(alpha, f_degree)
+    su = constant_shift_pair(beta, g_degree)
+    ss = tensor_shift_pair(bidegree, bidegree)
+    assert np.array_equal(pair.s1.matrix, block_diag(
+        v1, us.s1.matrix, su.s2.matrix, ss.s1.matrix))
+    assert np.array_equal(pair.s2.matrix, block_diag(
+        v2, us.s2.matrix, su.s1.matrix, ss.s2.matrix))
+    assert np.array_equal(pair.probe.basis, block_diag(
+        np.eye(2), us.probe.basis, su.probe.basis, ss.probe.basis))
 
 
 def test_construct_example_half_shift_gram_is_scalar():
@@ -685,6 +750,43 @@ def test_spectral_analyses_property_commute_with_unitary_conjugation(
         gap = np.abs(got[:, None] - want[None, :])
         assert gap.min(axis=0).max() <= 1e-8
         assert gap.min(axis=1).max() <= 1e-8
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(_ONLY_IF_PAIRS, st.integers(0, 2 ** 32 - 1))
+def test_battery_property_commutes_with_unitary_conjugation(case, qseed):
+    pair = _only_if_pair(case)
+    moved = _conjugated(pair, _haar_unitary(np.random.default_rng(qseed),
+                                            pair.space.dim))
+    base, turned = verdict_battery(pair), verdict_battery(moved)
+    assert (turned.verdict, turned.vacuous, turned.e_subspace.dim) == \
+        (base.verdict, base.vacuous, base.e_subspace.dim)
+    for field in ("r_i", "r_ii", "r_iii"):
+        assert abs(getattr(turned, field) - getattr(base, field)) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(st.integers(0, 2 ** 16), st.integers(0, 2 ** 32 - 1))
+def test_model_property_commutes_with_unitary_conjugation(seed, qseed):
+    """``psi`` and ``|c_k|`` are basis-free for scalar fibers.
+
+    With one-dimensional wandering subspaces spanned by unit vectors
+    ``w``, ``psi = w^H S1 w`` and ``c_k = w^H (S1^H)^k S2 w`` do not see
+    the phase of ``w``, and a unitary conjugation moves ``w`` with the
+    operators.
+    """
+    pair = three_part_pair(seed, degree=40)[0]
+    moved = _conjugated(pair, _haar_unitary(np.random.default_rng(qseed),
+                                            pair.space.dim))
+    base, turned = model_decomposition(pair), model_decomposition(moved)
+    for field in ("f_dim", "e_dim", "f_ladder_dim", "e_ladder_dim"):
+        assert getattr(turned, field) == getattr(base, field)
+    assert turned.h_uu.dim == base.h_uu.dim
+    assert turned.psi.shape == base.psi.shape
+    assert np.max(np.abs(turned.psi - base.psi)) <= 1e-8
+    assert turned.phi_coeffs.shape == base.phi_coeffs.shape
+    assert np.max(np.abs(np.abs(turned.phi_coeffs)
+                         - np.abs(base.phi_coeffs))) <= 1e-8
 
 
 _WORKING_SIZE_PAIRS = {
