@@ -77,7 +77,7 @@ class Subspace:
             raise ValidationError("subspace basis must be 2-D")
         if q.shape[1] > 0:
             defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
-            if defect > 1e-12 * max(1.0, q.shape[1]):
+            if not defect <= 1e-12 * max(1.0, q.shape[1]):  # NaN too
                 raise ValidationError(
                     f"basis columns not orthonormal (defect {defect:.3e})"
                 )

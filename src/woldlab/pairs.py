@@ -143,6 +143,10 @@ class OperatorPair:
     the ladders read it, and nothing reads the ``growth`` or ``window`` of
     the two operators.
 
+    ``commutator_residual``, ``defect_1`` and ``defect_2`` are the operator
+    norms of ``(S1 S2 - S2 S1) P`` and of the Gram defects of ``S1 P`` and
+    ``S2 P`` for the probe basis ``P``; each is computed on first read.
+
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
     (``split_1``): the bases ``Q`` of ``H`` and ``Q_perp`` of ``H^perp``,
@@ -155,10 +159,20 @@ class OperatorPair:
     s2: GradedOperator
     space: TruncatedSpace
     probe: Subspace
-    commutator_residual: float
-    defect_1: float
-    defect_2: float
     assembly: ExampleAssembly | None = None
+
+    @cached_property
+    def commutator_residual(self) -> float:
+        m1, m2 = self.s1.matrix, self.s2.matrix
+        return operator_norm((m1 @ m2 - m2 @ m1) @ self.probe.basis)
+
+    @cached_property
+    def defect_1(self) -> float:
+        return gram_defect(self.s1.matrix @ self.probe.basis)
+
+    @cached_property
+    def defect_2(self) -> float:
+        return gram_defect(self.s2.matrix @ self.probe.basis)
 
     @cached_property
     def split_1(self) -> HyperRangeSplit:
@@ -304,7 +318,12 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
 
     The commutator and each operator's isometry defect are evaluated on the
     probe subspace (by default, coordinates far enough below the top degree
-    that truncation cannot reach them).
+    that truncation cannot reach them). Each is decided by its Frobenius
+    norm first, an upper bound of its operator norm: at or below 1e-8 it
+    passes with no SVD. Otherwise the pair's exact residual (an operator
+    norm) decides, and names the value when it raises; a non-finite entry
+    never passes. The returned pair computes its three residuals on first
+    read.
 
     Raises
     ------
@@ -333,23 +352,24 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
             f"empty probe: no coordinate of the {a.domain.dim}-dimensional "
             "space is trusted"
         )
-    m1, m2 = a.matrix, b.matrix
-    comm = operator_norm((m1 @ m2 - m2 @ m1) @ probe.basis)
-    d1 = gram_defect(m1 @ probe.basis)
-    d2 = gram_defect(m2 @ probe.basis)
-    for name, d in (("first", d1), ("second", d2)):
-        if d > 1e-8:
+    pair = OperatorPair(s1=a, s2=b, space=a.domain, probe=probe,
+                        assembly=assembly)
+    eye = np.eye(probe.dim)
+    img1, img2 = a.matrix @ probe.basis, b.matrix @ probe.basis
+    for name, img, exact in (("first", img1, "defect_1"),
+                             ("second", img2, "defect_2")):
+        # "not <=" so that a NaN bound or residual is refused
+        if not np.linalg.norm(img.conj().T @ img - eye) <= 1e-8 \
+                and not getattr(pair, exact) <= 1e-8:
             raise DomainError(
                 f"{name} operator is not isometric on the probe: "
-                f"defect {d:.3e}"
+                f"defect {getattr(pair, exact):.3e}"
             )
-    if comm > 1e-8:
-        raise DomainError(f"operators do not commute: residual {comm:.3e}")
-    return OperatorPair(
-        s1=a, s2=b, space=a.domain, probe=probe,
-        commutator_residual=comm, defect_1=d1, defect_2=d2,
-        assembly=assembly,
-    )
+    if not np.linalg.norm(a.matrix @ img2 - b.matrix @ img1) <= 1e-8 \
+            and not pair.commutator_residual <= 1e-8:
+        raise DomainError("operators do not commute: residual "
+                          f"{pair.commutator_residual:.3e}")
+    return pair
 
 
 def _unitary_completion(c: np.ndarray) -> np.ndarray:
@@ -461,23 +481,25 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     wandering basis vector and, when there are several, two random
     combinations drawn from ``seed``.
 
-    Every residual is computed at working size, on the basis ``Q`` of the
-    hyper-range, never on an n x n projector: a projected image ``P x``
-    enters through ``Q^H x``, which has the same norms and singular values,
-    and the off-diagonal blocks of ``S2`` are ``S2 Q - Q A`` and
-    ``Q^H S2 - A Q^H`` for the compression ``A = Q^H S2 Q``.
+    Every residual is computed at working size, in the split basis
+    ``[Q, Q_perp]`` of the hyper-range and its complement, never on an
+    n x n projector: a projected image ``P x`` enters through ``Q^H x``,
+    which has the same norms and singular values, and the off-diagonal
+    blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
+    ``B = Q^H S2 Q_perp`` (``red_in``). ``r_v`` reads ``B`` times the
+    masked columns of ``Q_perp^H``, reduced by their R factor to at most
+    ``n - dim H`` columns, which keeps the singular values.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
     split = p.split_1
     h_inf = split.h_inf
-    q = h_inf.basis
+    q, q_perp = h_inf.basis, split.h_perp.basis
     probe = p.probe.basis
     e_sub = Subspace(probe @ kernel(m1.conj().T @ probe).basis)
     h_probe = intersect(h_inf, p.probe)
-    m2q, a = split.s2q, split.a2
-    cross = q.conj().T @ m2 - a @ q.conj().T
-    red_out = operator_norm(m2q - q @ a)
+    cross = q.conj().T @ (m2 @ q_perp)
+    red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
     image = m2 @ h_probe.basis
     iso = gram_defect(q.conj().T @ image)
@@ -522,8 +544,12 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     degs = p.space.degrees_array()
     r_v: list = []
     for cap in levels:
-        s = np.linalg.svd(cross[:, degs <= cap], compute_uv=False)
-        # an n x n block has n singular values, the missing ones zero
+        cols = q_perp.conj().T[:, degs <= cap]
+        if cols.shape[1] > cols.shape[0]:
+            cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
+        s = np.linalg.svd(cross @ cols, compute_uv=False)
+        # the masked n x n block P S2 (I - P) D has n singular values, the
+        # ones the R factor leaves out being zero
         top5 = np.zeros(min(5, n))
         top5[:min(5, s.size)] = s[:5]
         r_v.append([float(x) for x in top5])
@@ -843,7 +869,15 @@ def three_part_pair(seed: int, degree: int = 56, uu_dim: int = 2,
     together with the ground truth used to build it. The multiplier
     summand's probe margin scales with the zero modulus so the truncated
     columns it vouches for are isometric to well below 1e-8.
+
+    Raises
+    ------
+    DomainError
+        If ``zero_cap`` lies outside ``[0, 1)`` or the degree leaves no
+        probed multiplier columns, before any random draw.
     """
+    if not 0.0 <= zero_cap < 1.0:
+        raise DomainError(f"zero_cap must lie in [0, 1), got {zero_cap}")
     e_margin = int(np.ceil(np.log(1e-10) / np.log(max(zero_cap, 0.1)))) + 1
     if degree <= e_margin:
         raise DomainError(

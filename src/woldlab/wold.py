@@ -196,9 +196,20 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     """Common range of all powers.
 
     For a square matrix this is the limit of the nested ranges of T^n,
-    taken at face value, so invertible inputs return the full space. It
-    is computed by deflation, which runs the nested iteration only where
-    the ranges still shrink:
+    taken at face value, so invertible inputs return the full space.
+
+    A matrix that is exactly block diagonal in its own coordinate order is
+    first cut into its finest diagonal blocks: a block ends at ``k`` when
+    no nonzero of ``|T| + |T^T|`` links a coordinate ``<= k`` to one past
+    ``k``. The hyper-range is the sum of the blocks' hyper-ranges, so each
+    block is deflated at its own size and its bases are lifted by rows.
+    The anchor stays global: ``||T||`` in every cut and guard below is the
+    largest block norm, the norm of the whole matrix, so a block far below
+    it (the ``1e-11`` of ``diag(1, 1e-11)``) is cut as it would be inside
+    the whole matrix. A matrix of one block is deflated whole.
+
+    Each block is deflated as follows, running the nested iteration only
+    where the ranges still shrink:
 
     1. Guess ``H = range(T^N)`` with ``N = 2^ceil(log2(n + 1))``, which
        exceeds every nilpotency index, by repeated squaring of ``T/||T||``
@@ -251,12 +262,12 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
 def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace]:
     """Hyper-range of a square matrix and its orthogonal complement.
 
-    Both come out of the one deflation ``hyper_range`` runs. The complement
-    is spanned by the trailing left singular vectors of its SVD of ``T^N``
-    (all of the space when the guess is rejected), lifted by the complement
-    of the nested remainder when the nested iteration runs. So the split
-    costs one hyper-range, where ``complement(hyper_range(t))`` adds a full
-    n x n SVD.
+    Both come out of the one deflation ``hyper_range`` runs. Per diagonal
+    block, the complement is spanned by the trailing left singular vectors
+    of its SVD of ``T^N`` (all of the block when the guess is rejected),
+    lifted by the complement of the nested remainder when the nested
+    iteration runs. So the split costs one hyper-range, where
+    ``complement(hyper_range(t))`` adds a full n x n SVD.
     """
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
@@ -323,12 +334,50 @@ def _certified_nilpotent(c: np.ndarray, tol: float, scale: float) -> bool:
                                   0.0)) <= cut
 
 
+def _diagonal_blocks(m: np.ndarray) -> np.ndarray:
+    """End index of each block of the finest exact block-diagonal split.
+
+    The split keeps the matrix's own coordinate order: a block ends at
+    ``k`` when no nonzero of ``|T| + |T^T|`` links a row ``<= k`` to a
+    column ``> k``, read off the running maximum of each row's farthest
+    linked column.
+    """
+    idx = np.arange(m.shape[0])
+    linked = (m != 0) | (m.T != 0)
+    farthest = np.where(linked, idx, idx[:, None]).max(axis=1, initial=0)
+    return np.flatnonzero(np.maximum.accumulate(farthest) == idx)
+
+
 def _deflated_range(m: np.ndarray,
                     tol: float) -> tuple[Subspace, np.ndarray]:
     """Hyper-range of a plain matrix by deflation, with a basis of its
-    orthogonal complement; see ``hyper_range``."""
+    orthogonal complement; see ``hyper_range``.
+
+    An exactly block-diagonal matrix is deflated block by block, every cut
+    anchored at the largest block norm, and the bases are lifted by rows.
+    """
     n = m.shape[0]
-    norm = operator_norm(m)
+    ends = _diagonal_blocks(m)
+    if ends.size <= 1:
+        return _deflated_block(m, tol, operator_norm(m))
+    slices = [slice(a, b + 1) for a, b in zip(np.r_[0, ends[:-1] + 1], ends)]
+    norm = max(operator_norm(m[sl, sl]) for sl in slices)
+    splits = [_deflated_block(m[sl, sl], tol, norm) for sl in slices]
+    h_inf = np.zeros((n, sum(h.dim for h, _ in splits)), dtype=np.complex128)
+    perp = np.zeros((n, n - h_inf.shape[1]), dtype=np.complex128)
+    col_h = col_p = 0
+    for sl, (h, p) in zip(slices, splits):
+        h_inf[sl, col_h:col_h + h.dim] = h.basis
+        perp[sl, col_p:col_p + p.shape[1]] = p
+        col_h, col_p = col_h + h.dim, col_p + p.shape[1]
+    return Subspace(h_inf, tol), perp
+
+
+def _deflated_block(m: np.ndarray, tol: float,
+                    norm: float) -> tuple[Subspace, np.ndarray]:
+    """Deflation of one diagonal block, every guard and cut at
+    ``tol * norm``."""
+    n = m.shape[0]
     power = m / (norm or 1.0)
     for _ in range(n.bit_length()):
         power = power @ power

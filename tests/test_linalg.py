@@ -46,6 +46,11 @@ def test_subspace_rejects_non_orthonormal():
         Subspace(np.array([[1.0], [1.0]]))
 
 
+def test_subspace_rejects_a_nan_basis():
+    with pytest.raises(ValidationError, match="orthonormal"):
+        Subspace(np.array([[1.0], [np.nan]]))
+
+
 def test_projector_idempotent_hermitian():
     rng = np.random.default_rng(1)
     s = _random_subspace(rng, 7, 3)

@@ -11,8 +11,9 @@ from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            multiplier, shift)
-from woldlab.linalg import (Subspace, complement, mutual_orthogonality,
-                            operator_norm, orthonormalize, reducing_residual,
+from woldlab.linalg import (Subspace, complement, gram_defect,
+                            mutual_orthogonality, operator_norm,
+                            orthonormalize, reducing_residual,
                             subspace_distance, unimodular_clusters,
                             unitarity_defect, zero_subspace)
 from woldlab.moments import finite_spectrum_forcing
@@ -92,6 +93,23 @@ def test_fixtures_refuse_degrees_too_small_for_a_summand(build, error):
     # inside a sum, the other summands' probe would hide an empty one
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("zero_cap", [1.0, 1.5, -0.5, float("nan")])
+def test_three_part_pair_refuses_zero_cap_outside_unit_interval(
+        zero_cap, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random draw was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(DomainError, match="zero_cap"):
+        three_part_pair(1, degree=56, zero_cap=zero_cap)
+
+
+def test_three_part_pair_builds_with_zeros_at_the_origin():
+    pair, truth = three_part_pair(1, degree=56, zero_cap=0.0)
+    assert np.all(truth["zeros"] == 0.0)
+    assert pair.space.dim == 2 + 2 * 57
 
 
 def test_three_part_pair_checks_its_degree_before_drawing(monkeypatch):
@@ -224,6 +242,9 @@ _BATTERY_PAIRS = {
     "four-block": lambda: four_block_pair(1)[0],
     "tensor": lambda: tensor_shift_pair(5, 5),
     "biunitary": lambda: biunitary_pair(3, 5),
+    # a dense complement basis and a nonzero block B = Q^H S2 Q_perp, so r_v
+    # reads B through a dense R factor
+    "scrambled-polynomial-16": lambda: _scrambled_example(16, 3),
 }
 
 
@@ -249,17 +270,94 @@ def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     pair = construct_example(polynomial([0.5, 0.5]), 48)
     n = pair.space.dim
     pair.hyper_range_1  # cached on the pair: count the battery's own SVDs
-    square = []
-    real_svd = np.linalg.svd
+    wide = []
 
-    def counting(a, *args, **kwargs):
-        if np.shape(a) == (n, n):
-            square.append(a)
-        return real_svd(a, *args, **kwargs)
+    def recording(real):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-1] == n:
+                wide.append((real.__name__, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    for name in ("operator_norm", "gram_defect"):
+        monkeypatch.setattr(woldlab.pairs, name,
+                            recording(getattr(woldlab.pairs, name)))
     verdict_battery(pair)
-    assert len(square) == 0
+    # the top cap of r_v reads B = Q^H S2 Q_perp through an R factor, so
+    # no SVD or norm input spans all n columns, let alone n x n
+    assert wide == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_example(polynomial([0.5, 0.5]), 32),
+    lambda: tensor_shift_pair(5, 5),
+    lambda: three_part_pair(1)[0],
+], ids=["example", "tensor", "three-part"])
+def test_validate_pair_passes_an_exact_pair_with_no_svd(make, monkeypatch):
+    pair = make()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for name in ("operator_norm", "gram_defect"):
+        monkeypatch.setattr(woldlab.pairs, name, refuse)
+    validate_pair(pair.s1, pair.s2, pair.probe)
+
+
+def test_pair_residuals_are_the_exact_operator_norms():
+    pair = construct_example(polynomial([0.5, 0.5]), 32)
+    m1, m2, pb = pair.s1.matrix, pair.s2.matrix, pair.probe.basis
+    assert "defect_1" not in vars(pair)  # computed on first read
+    assert pair.commutator_residual == operator_norm((m1 @ m2 - m2 @ m1) @ pb)
+    assert pair.defect_1 == gram_defect(m1 @ pb)
+    assert pair.defect_2 == gram_defect(m2 @ pb)
+
+
+def test_validate_pair_decides_by_the_operator_norm_past_the_bound():
+    # every eigenvalue of the Gram defect is 9e-9: its Frobenius norm over
+    # 16 probe directions is 3.6e-8, above 1e-8, its operator norm is not
+    c = np.sqrt(1.0 - 9e-9)
+    pair = validate_pair(c * np.eye(16), np.eye(16))
+    assert pair.defect_1 == pytest.approx(9e-9, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["s1", "s2"])
+def test_validate_pair_refuses_a_non_finite_entry(which, value):
+    # a GradedOperator reaches validation unchecked; a NaN Frobenius bound
+    # must fall through to the exact residual, not pass
+    pair = construct_example(polynomial([0.5, 0.5]), 16)
+    op = getattr(pair, which)
+    col = int(np.flatnonzero(pair.probe.basis[:, 0])[0])
+    m = op.matrix.copy()
+    m[3, col] = value
+    ops = dict(s1=pair.s1, s2=pair.s2)
+    ops[which] = GradedOperator(matrix=m, domain=op.domain,
+                                codomain=op.codomain)
+    with pytest.raises((DomainError, np.linalg.LinAlgError)):
+        validate_pair(ops["s1"], ops["s2"], pair.probe)
+
+
+def test_validate_pair_failures_name_the_exact_operator_norm():
+    rng = np.random.default_rng(0)
+    u = _random_unitary(rng, 4)
+    v = _random_unitary(rng, 4)
+    comm = operator_norm(u @ v - v @ u)
+    with pytest.raises(DomainError) as info:
+        validate_pair(u, v)
+    assert str(info.value) == f"operators do not commute: residual {comm:.3e}"
+    # a Frobenius defect of 1.5 but an operator-norm defect of 0.75
+    with pytest.raises(DomainError) as info:
+        validate_pair(0.5 * np.eye(4), np.eye(4))
+    assert str(info.value) == \
+        "first operator is not isometric on the probe: defect 7.500e-01"
+    with pytest.raises(DomainError) as info:
+        validate_pair(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5]))
+    assert str(info.value) == \
+        "second operator is not isometric on the probe: defect 7.500e-01"
 
 
 def test_model_decomposition_requires_true_verdict():
@@ -375,13 +473,22 @@ def test_slocinski_tensor_pair_is_pure_double_shift():
     assert dec.orthogonality_residual == 0.0
 
 
-def _conjugated(pair, u):
-    """The pair and its probe conjugated by the unitary ``u``."""
-    sp = abstract_space(pair.space.dim)
+def _conjugated(pair, u, sp=None):
+    """The pair and its probe conjugated by the unitary ``u``, on ``sp``
+    (by default an ungraded space)."""
+    sp = abstract_space(pair.space.dim) if sp is None else sp
     s1, s2 = (GradedOperator(matrix=u @ m @ u.conj().T, domain=sp,
                              codomain=sp)
               for m in (pair.s1.matrix, pair.s2.matrix))
     return validate_pair(s1, s2, probe=Subspace(u @ pair.probe.basis))
+
+
+def _scrambled_example(degree, seed):
+    """The example conjugated by a Haar unitary, keeping its graded space,
+    so that each cap masks a proper subset of the dense ``Q_perp^H``."""
+    pair = construct_example(polynomial([0.5, 0.5]), degree)
+    u = _haar_unitary(np.random.default_rng(seed), pair.space.dim)
+    return _conjugated(pair, u, pair.space)
 
 
 def _scrambled_four_block(seed):

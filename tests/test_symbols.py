@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import defect_weight_loop, defect_weight_quadrature
 from woldlab import symbols
@@ -115,6 +117,35 @@ def test_defect_weight_hermitian_and_inner_vanishing():
     c *= 0.2 / np.max(np.abs(c))
     w2 = defect_weight(polynomial(c), 5)
     assert w2.hermitian_defect() < 1e-15
+
+
+_SCHUR_SYMBOLS = st.tuples(st.integers(0, 2 ** 32 - 1),
+                           st.sampled_from(["scalar", "matrix", "blaschke"]),
+                           st.integers(1, 4), st.integers(0, 24))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_SCHUR_SYMBOLS)
+def test_defect_weight_property_is_hermitian_with_psd_toeplitz_gram(case):
+    # the Gram matrix G[m, n] = w_hat(m - n) is the one construct_example
+    # factors; w = I - phi^H phi >= 0 on the circle makes it PSD
+    seed, kind, n, k_max = case
+    rng = np.random.default_rng(seed)
+    if kind == "blaschke":
+        sym = blaschke(0.8 * np.sqrt(rng.random(n))
+                       * np.exp(2j * np.pi * rng.random(n)))
+    else:
+        d = 1 if kind == "scalar" else 2
+        c = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        # coefficient norms summing to at most 1 keep sup |phi| <= 1
+        c *= rng.random() / sum(np.linalg.norm(ck, 2) for ck in c)
+        sym = polynomial(c[:, 0, 0] if d == 1 else c)
+    w = defect_weight(sym, k_max)
+    assert np.max(np.abs(w.values[::-1] - np.conj(w.values))) <= 1e-15
+    idx = np.arange(k_max + 1)
+    gram = w.values[k_max + idx[:, None] - idx[None, :]]
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-15
+    assert np.linalg.eigvalsh(gram).min() >= -1e-12
 
 
 def test_defect_weight_matches_quadrature():

@@ -456,6 +456,75 @@ def test_hyper_range_refuses_graded_operator():
     assert hyper_range(op.matrix).dim == 9
 
 
+def _unitary_contraction_jordan():
+    # H is the unitary block plus the invertible contraction (spectral
+    # radius 0.5); the nilpotent Jordan block contributes nothing
+    u = _haar_unitary(np.random.default_rng(12), 3)
+    return sla.block_diag(u, np.array([[0.5, 0.4], [0.0, -0.3]]),
+                          np.eye(4, k=-1))
+
+
+_BLOCK_SPLIT_INPUTS = {
+    **{f"{kind}-{d}": (lambda sym=sym, d=d: construct_example(
+        sym, d).s1.matrix)
+       for kind, sym in (("polynomial", polynomial([0.5, 0.5])),
+                         ("blaschke", blaschke([0.35, -0.3j])),
+                         ("constant", constant(0.6)))
+       for d in (16, 32, 48)},
+    "four-block": lambda: four_block_pair(0)[0].s1.matrix,
+    "unitary-contraction-jordan": _unitary_contraction_jordan,
+    "zero-between-blocks": lambda: sla.block_diag(
+        _haar_unitary(np.random.default_rng(13), 2), np.zeros((1, 1)),
+        np.array([[0.5, 0.4], [0.0, -0.3]])),
+    "tiny-direction": lambda: np.diag([1.0, 1e-11]),
+    "empty": lambda: np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_SPLIT_INPUTS))
+def test_block_split_matches_nested_oracle(name):
+    t = _BLOCK_SPLIT_INPUTS[name]()
+    h_inf, perp = wold.hyper_range_split(t)
+    want = hyper_range_nested(t)
+    assert h_inf.dim == want.dim
+    assert perp.dim == t.shape[0] - want.dim
+    assert subspace_distance(h_inf, want) <= 1e-12
+    assert subspace_distance(perp, complement(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (lambda: construct_example(polynomial([0.5, 0.5]), 48).s1.matrix,
+     [49, 49, 49, 54]),
+    (lambda: four_block_pair(0)[0].s1.matrix, [2] + [1] * 7 + [7, 36]),
+    (_BLOCK_SPLIT_INPUTS["zero-between-blocks"], [2, 1, 2]),
+    (_BLOCK_SPLIT_INPUTS["tiny-direction"], [1, 1]),
+    (lambda: three_part_pair(0)[0].s1.matrix, [116]),
+    (lambda: tensor_shift_pair(9, 9).s1.matrix, [100]),
+], ids=["polynomial-48", "four-block", "zero-between-blocks",
+        "tiny-direction", "three-part", "tensor"])
+def test_block_split_deflates_each_block_at_the_largest_block_norm(
+        make, sizes, monkeypatch):
+    t = make()
+    calls = []
+    real = wold._deflated_block
+
+    def recording(m, tol, norm):
+        calls.append((m.shape[0], norm))
+        return real(m, tol, norm)
+
+    monkeypatch.setattr(wold, "_deflated_block", recording)
+    wold.hyper_range_split(t)
+    assert [size for size, _ in calls] == sizes
+    # the anchor is the whole operator's norm, so diag(1, 1e-11) drops its
+    # second block: relative to that block's own norm it would be kept
+    norms = {norm for _, norm in calls}
+    assert len(norms) == 1
+    assert norms.pop() == pytest.approx(np.linalg.norm(t, 2), rel=1e-14)
+    if len(sizes) == 1:
+        # one block is the whole matrix, deflated at its own norm as before
+        assert calls[0][1] == wold.operator_norm(t)
+
+
 def test_wold_split_of_truncated_shift_is_exact():
     dec = wold_split(compress(shift(1, 16)), 16)
     assert dec.wandering.dim == 1
