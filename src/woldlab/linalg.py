@@ -127,17 +127,59 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
+def _coordinate_mask(s: Subspace) -> np.ndarray | None:
+    """The mask with ``s.basis == eye(n)[:, mask]``, or None.
+
+    A coordinate subspace is one whose basis is identity columns in
+    increasing order, exactly: one entry 1 per column and zeros elsewhere.
+    """
+    rows, cols = np.nonzero(s.basis != 0)
+    if rows.size != s.dim or np.any(cols != np.arange(s.dim)) \
+            or np.any(np.diff(rows) <= 0) or np.any(s.basis[rows, cols] != 1):
+        return None
+    mask = np.zeros(s.ambient_dim, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+def _times_basis(m: np.ndarray, s: Subspace) -> np.ndarray:
+    """``m @ s.basis``, read as a column selection for a coordinate ``s``.
+
+    The selection equals the product bitwise, up to the sign of a zero.
+    """
+    mask = _coordinate_mask(s)
+    return m @ s.basis if mask is None else m[:, mask]
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Principal vectors whose cosine (singular value of a^H b) reaches
     ``1 - tol`` are kept, where ``tol`` is the larger of the two construction
-    tolerances. The result is re-orthonormalized.
+    tolerances.
+
+    When ``b`` is a coordinate subspace ``span(e_mask)``, the sines of the
+    principal angles are the singular values of the rows of ``a``'s basis
+    outside the mask (padded with zeros to ``a.dim``). The intersection is
+    ``a``'s basis times the right singular vectors whose sine is at most
+    ``sqrt(2 tol - tol^2)``, the same rule as the cosine's, from one
+    ``(n - |mask|) x dim a`` SVD; that basis is orthonormal as it stands.
+    Otherwise the cosines come from the SVD of ``a^H b`` and the kept
+    principal vectors are re-orthonormalized.
     """
     _check_same_ambient(a, b)
     tol = max(a.tol, b.tol)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim, tol)
+    mask = _coordinate_mask(b)
+    if mask is not None:
+        if mask.all():
+            return Subspace(a.basis, tol)
+        outside = a.basis[~mask]
+        _, s, vh = np.linalg.svd(
+            outside, full_matrices=outside.shape[0] < outside.shape[1])
+        dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))
+        return Subspace(a.basis @ vh[dropped:].conj().T, tol)
     u, s, _ = np.linalg.svd(a.basis.conj().T @ b.basis)
     k = int(np.sum(s >= 1.0 - tol))
     if k == 0:
@@ -264,13 +306,15 @@ def kernel(m, tol: float = DEFAULT_TOL) -> Subspace:
     """Null space of ``m`` with an absolute-plus-relative threshold.
 
     Singular values at or below ``tol * max(1, s_max)`` count as zero; the
-    absolute floor keeps kernels of nearly-zero matrices well defined.
+    absolute floor keeps kernels of nearly-zero matrices well defined. A
+    matrix with at least as many rows as columns takes the thin SVD, whose
+    right singular vectors are all of them.
     """
     a = as_matrix(m)
     n = a.shape[1]
     if n == 0:
         return zero_subspace(0, tol)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     if rank == n:

@@ -53,6 +53,7 @@ from .hardy import (
 )
 from .linalg import (
     Subspace,
+    _times_basis,
     complement,
     gram_defect,
     intersect,
@@ -164,15 +165,15 @@ class OperatorPair:
     @cached_property
     def commutator_residual(self) -> float:
         m1, m2 = self.s1.matrix, self.s2.matrix
-        return operator_norm((m1 @ m2 - m2 @ m1) @ self.probe.basis)
+        return operator_norm(_times_basis(m1 @ m2 - m2 @ m1, self.probe))
 
     @cached_property
     def defect_1(self) -> float:
-        return gram_defect(self.s1.matrix @ self.probe.basis)
+        return gram_defect(_times_basis(self.s1.matrix, self.probe))
 
     @cached_property
     def defect_2(self) -> float:
-        return gram_defect(self.s2.matrix @ self.probe.basis)
+        return gram_defect(_times_basis(self.s2.matrix, self.probe))
 
     @cached_property
     def split_1(self) -> HyperRangeSplit:
@@ -318,12 +319,15 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
 
     The commutator and each operator's isometry defect are evaluated on the
     probe subspace (by default, coordinates far enough below the top degree
-    that truncation cannot reach them). Each is decided by its Frobenius
-    norm first, an upper bound of its operator norm: at or below 1e-8 it
-    passes with no SVD. Otherwise the pair's exact residual (an operator
-    norm) decides, and names the value when it raises; a non-finite entry
-    never passes. The returned pair computes its three residuals on first
-    read.
+    that truncation cannot reach them). A coordinate probe (identity
+    columns, as the default and the unscrambled fixtures' probes are) is
+    applied by column selection, so its images ``S P`` are read rather
+    than multiplied; the residuals take the same route. Each defect is decided
+    by its Frobenius norm first, an upper bound of its operator norm: at
+    or below 1e-8 it passes with no SVD. Otherwise the pair's exact
+    residual (an operator norm) decides, and names the value when it
+    raises; a non-finite entry never passes. The returned pair computes
+    its three residuals on first read.
 
     Raises
     ------
@@ -355,7 +359,7 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     pair = OperatorPair(s1=a, s2=b, space=a.domain, probe=probe,
                         assembly=assembly)
     eye = np.eye(probe.dim)
-    img1, img2 = a.matrix @ probe.basis, b.matrix @ probe.basis
+    img1, img2 = _times_basis(a.matrix, probe), _times_basis(b.matrix, probe)
     for name, img, exact in (("first", img1, "defect_1"),
                              ("second", img2, "defect_2")):
         # "not <=" so that a NaN bound or residual is refused
@@ -488,23 +492,24 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
     ``B = Q^H S2 Q_perp`` (``red_in``). ``r_v`` reads ``B`` times the
     masked columns of ``Q_perp^H``, reduced by their R factor to at most
-    ``n - dim H`` columns, which keeps the singular values.
+    ``n - dim H`` columns, which keeps the singular values. A coordinate
+    probe ``P`` is applied to ``S1^H`` by column selection.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
+    m1h = m1.conj().T
     n = p.space.dim
     split = p.split_1
     h_inf = split.h_inf
     q, q_perp = h_inf.basis, split.h_perp.basis
-    probe = p.probe.basis
-    e_sub = Subspace(probe @ kernel(m1.conj().T @ probe).basis)
+    wandering = kernel(_times_basis(m1h, p.probe))
+    e_sub = Subspace(p.probe.basis @ wandering.basis)
     h_probe = intersect(h_inf, p.probe)
     cross = q.conj().T @ (m2 @ q_perp)
     red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
     image = m2 @ h_probe.basis
     iso = gram_defect(q.conj().T @ image)
-    dc = operator_norm(m1.conj().T @ image
-                       - m2 @ (m1.conj().T @ h_probe.basis)) \
+    dc = operator_norm(m1h @ image - m2 @ (m1h @ h_probe.basis)) \
         if h_probe.dim else 0.0
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
@@ -527,7 +532,7 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
         vecs = []
         v = m2 @ x
         for _ in range(levels[-1]):
-            v = m1.conj().T @ v
+            v = m1h @ v
             vecs.append(v)
         krylov.append(q.conj().T @ np.column_stack(vecs))
     r_iv: list = []
@@ -679,7 +684,7 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     dc = operator_norm(
-        (m1.conj().T @ m2 - m2 @ m1.conj().T) @ p.probe.basis)
+        _times_basis(m1.conj().T @ m2 - m2 @ m1.conj().T, p.probe))
     if dc > 1e-8:
         raise PreconditionError(
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"

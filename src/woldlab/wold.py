@@ -208,8 +208,14 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     it (the ``1e-11`` of ``diag(1, 1e-11)``) is cut as it would be inside
     the whole matrix. A matrix of one block is deflated whole.
 
-    Each block is deflated as follows, running the nested iteration only
-    where the ranges still shrink:
+    A block that is exactly strictly lower or strictly upper triangular
+    (a truncated shift, or its adjoint) is nilpotent, so its hyper-range
+    is ``{0}``: it takes no power, SVD or ladder. Its norm still counts
+    in the anchor of the other blocks; a matrix that is one such block
+    takes no norm at all.
+
+    Every other block is deflated as follows, running the nested iteration
+    only where the ranges still shrink:
 
     1. Guess ``H = range(T^N)`` with ``N = 2^ceil(log2(n + 1))``, which
        exceeds every nilpotency index, by repeated squaring of ``T/||T||``
@@ -264,7 +270,8 @@ def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace]:
 
     Both come out of the one deflation ``hyper_range`` runs. Per diagonal
     block, the complement is spanned by the trailing left singular vectors
-    of its SVD of ``T^N`` (all of the block when the guess is rejected),
+    of its SVD of ``T^N`` (all of the block when the block is strictly
+    triangular or the guess is rejected),
     lifted by the complement of the nested remainder when the nested
     iteration runs. So the split costs one hyper-range, where
     ``complement(hyper_range(t))`` adds a full n x n SVD.
@@ -359,7 +366,7 @@ def _deflated_range(m: np.ndarray,
     n = m.shape[0]
     ends = _diagonal_blocks(m)
     if ends.size <= 1:
-        return _deflated_block(m, tol, operator_norm(m))
+        return _deflated_block(m, tol, None)
     slices = [slice(a, b + 1) for a, b in zip(np.r_[0, ends[:-1] + 1], ends)]
     norm = max(operator_norm(m[sl, sl]) for sl in slices)
     splits = [_deflated_block(m[sl, sl], tol, norm) for sl in slices]
@@ -373,12 +380,27 @@ def _deflated_range(m: np.ndarray,
     return Subspace(h_inf, tol), perp
 
 
+def _strictly_triangular(m: np.ndarray) -> bool:
+    """Whether ``m`` is exactly strictly lower or strictly upper triangular."""
+    return not np.any(np.triu(m)) or not np.any(np.tril(m))
+
+
 def _deflated_block(m: np.ndarray, tol: float,
-                    norm: float) -> tuple[Subspace, np.ndarray]:
+                    norm: float | None) -> tuple[Subspace, np.ndarray]:
     """Deflation of one diagonal block, every guard and cut at
-    ``tol * norm``."""
+    ``tol * norm``; a ``norm`` of None is the block's own norm.
+
+    An exactly strictly triangular block is nilpotent: its hyper-range is
+    ``{0}`` and its complement the identity, with no power, SVD or ladder
+    and no norm. Every other block has a nonzero entry, so ``norm > 0``.
+    """
     n = m.shape[0]
-    power = m / (norm or 1.0)
+    if _strictly_triangular(m):
+        return (Subspace(np.zeros((n, 0), dtype=np.complex128), tol),
+                np.eye(n, dtype=np.complex128))
+    if norm is None:
+        norm = operator_norm(m)
+    power = m / norm
     for _ in range(n.bit_length()):
         power = power @ power
         top = np.abs(power).max()
@@ -386,8 +408,7 @@ def _deflated_block(m: np.ndarray, tol: float,
             break
         power = power / top
     u, s, _ = np.linalg.svd(power)
-    # a 0 x 0 matrix has no singular values and an empty hyper-range
-    cut = tol * s.max(initial=0.0)
+    cut = tol * s[0]
     h = int(np.sum(s > cut))
     kept = h > 0 and s[h - 1] > 10.0 * cut and (h == n or s[h] <= cut / 10.0)
     if kept:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import intersect_avg_projector, reducing_residual_complement
 from woldlab.errors import DimensionError, ValidationError
 from woldlab.linalg import (
     Subspace,
     complement,
+    full_subspace,
     gram_defect,
     intersect,
     kernel,
@@ -19,6 +22,8 @@ from woldlab.linalg import (
     unitarity_defect,
     zero_subspace,
 )
+from woldlab.pairs import construct_example
+from woldlab.symbols import polynomial
 
 
 def _random_subspace(rng, n, d):
@@ -93,6 +98,96 @@ def test_intersect_disjoint_and_empty():
     assert intersect(a, z).dim == 0
 
 
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _recording_svd(monkeypatch):
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_intersect_property_reads_a_coordinate_subspace_by_its_rows(
+        planted, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(planted + 4, 15))
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size=int(rng.integers(max(planted, 1), n - 2)),
+                    replace=False)] = True
+    b = Subspace(np.eye(n, dtype=np.complex128)[:, mask])
+    inside = np.zeros((n, planted), dtype=np.complex128)
+    inside[mask] = rng.normal(size=(b.dim, planted)) \
+        + 1j * rng.normal(size=(b.dim, planted))
+    # generic extra directions meet span(e_mask) nowhere while they fit
+    extra = int(rng.integers(0, n - planted - b.dim + 1))
+    outside = rng.normal(size=(n, extra)) + 1j * rng.normal(size=(n, extra))
+    a = orthonormalize(np.hstack([inside, outside]))
+    got = intersect(a, b)
+    assert got.dim == planted
+    want = intersect_avg_projector(a, b)
+    assert want.dim == planted
+    assert subspace_distance(got, want) <= 1e-12
+    # conjugated by a Haar unitary, b is no longer a coordinate subspace
+    u = _haar_unitary(rng, n)
+    general = intersect(Subspace(u @ a.basis), Subspace(u @ b.basis))
+    assert general.dim == planted
+    assert subspace_distance(general, Subspace(u @ got.basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio, kept", [(0.7, 1), (1.4, 0)])
+def test_intersect_coordinate_path_keeps_the_cosine_rule(ratio, kept):
+    # a direction at sine ratio * sqrt(2 tol - tol^2) off span(e_0, e_1)
+    tol = 1e-10
+    sine = ratio * np.sqrt(2.0 * tol - tol * tol)
+    v = np.zeros((4, 1), dtype=np.complex128)
+    v[0], v[3] = np.sqrt(1.0 - sine ** 2), sine
+    a = Subspace(v, tol)
+    b = Subspace(np.eye(4, dtype=np.complex128)[:, :2], tol)
+    u = _haar_unitary(np.random.default_rng(9), 4)
+    general = intersect(Subspace(u @ a.basis, tol), Subspace(u @ b.basis, tol))
+    assert intersect(a, b).dim == general.dim == kept
+
+
+def test_intersect_with_the_full_coordinate_space_returns_a():
+    a = _random_subspace(np.random.default_rng(7), 6, 3)
+    got = intersect(a, full_subspace(6))
+    assert np.array_equal(got.basis, a.basis)
+
+
+def test_intersect_reads_a_basis_one_ulp_off_the_identity_as_general(
+        monkeypatch):
+    a = _random_subspace(np.random.default_rng(8), 7, 3)
+    near = np.eye(7, dtype=np.complex128)[:, :4]
+    near[2, 2] = np.nextafter(1.0, 0.0)
+    b = Subspace(near)
+    shapes = _recording_svd(monkeypatch)
+    got = intersect(a, b)
+    # the general path takes the SVD of a^H b, not of the rows of a
+    assert shapes[0] == (3, 4)
+    want = intersect(a, Subspace(np.eye(7, dtype=np.complex128)[:, :4]))
+    assert got.dim == want.dim
+
+
+def test_intersect_with_the_example_probe_takes_one_svd_of_the_rows_outside(
+        monkeypatch):
+    pair = construct_example(polynomial([0.5, 0.5]), 32)
+    h_inf, probe = pair.hyper_range_1, pair.probe
+    shapes = _recording_svd(monkeypatch)
+    got = intersect(h_inf, probe)
+    assert shapes == [(probe.ambient_dim - probe.dim, h_inf.dim)]
+    assert got.dim == intersect_avg_projector(h_inf, probe).dim
+
+
 def test_intersect_ambient_mismatch():
     with pytest.raises(DimensionError):
         intersect(Subspace(np.eye(3)[:, :1]), Subspace(np.eye(4)[:, :1]))
@@ -117,6 +212,15 @@ def test_kernel_known():
     k = kernel(m)
     assert k.dim == 1
     assert np.linalg.norm(m @ k.basis) < 1e-12
+    # a tall matrix takes the thin SVD; its right singular vectors are all
+    rng = np.random.default_rng(4)
+    tall = (rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))) \
+        @ (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)))
+    _, s, vh = np.linalg.svd(tall, full_matrices=True)
+    want = Subspace(vh[int(np.sum(s > 1e-10 * s[0])):].conj().T)
+    got = kernel(tall)
+    assert got.dim == want.dim == 3
+    assert subspace_distance(got, want) <= 1e-12
 
 
 def test_subspace_distance_properties():

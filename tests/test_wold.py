@@ -515,14 +515,59 @@ def test_block_split_deflates_each_block_at_the_largest_block_norm(
     monkeypatch.setattr(wold, "_deflated_block", recording)
     wold.hyper_range_split(t)
     assert [size for size, _ in calls] == sizes
+    if len(sizes) == 1:
+        # one block is the whole matrix, deflated at its own norm, which
+        # the block reads itself (a strictly triangular one never does)
+        assert calls[0][1] is None
+        return
     # the anchor is the whole operator's norm, so diag(1, 1e-11) drops its
     # second block: relative to that block's own norm it would be kept
     norms = {norm for _, norm in calls}
     assert len(norms) == 1
     assert norms.pop() == pytest.approx(np.linalg.norm(t, 2), rel=1e-14)
-    if len(sizes) == 1:
-        # one block is the whole matrix, deflated at its own norm as before
-        assert calls[0][1] == wold.operator_norm(t)
+
+
+_TRIANGULAR_INPUTS = {
+    "shift": lambda: compress(shift(1, 12)).matrix,
+    "shift-adjoint": lambda: compress(shift(1, 12)).matrix.conj().T,
+    "tensor-first": lambda: tensor_shift_pair(4, 4).s1.matrix,
+    "tensor-second": lambda: tensor_shift_pair(4, 4).s2.matrix,
+    "unitary-and-shift": lambda: sla.block_diag(
+        _haar_unitary(np.random.default_rng(14), 3),
+        compress(shift(1, 5)).matrix),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIANGULAR_INPUTS))
+def test_strictly_triangular_blocks_are_not_deflated(name, monkeypatch):
+    t = _TRIANGULAR_INPUTS[name]()
+    whole = wold._strictly_triangular(t)
+    # the blocks of a block-diagonal matrix still count in the anchor
+    one_block = whole and wold._diagonal_blocks(t).size == 1
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    def refuse(m):
+        raise AssertionError("a strictly triangular matrix took a norm")
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    if one_block:
+        monkeypatch.setattr(wold, "operator_norm", refuse)
+    h_inf, perp = wold.hyper_range_split(t)
+    monkeypatch.undo()
+    # only the unitary block of the last input is factored
+    assert all(max(shape) <= 3 for shape in shapes)
+    assert whole == (not shapes)
+    # bitwise what the nilpotency certificate returns with the rule bypassed
+    monkeypatch.setattr(wold, "_strictly_triangular", lambda m: False)
+    want_h, want_perp = wold.hyper_range_split(t)
+    assert np.array_equal(h_inf.basis, want_h.basis)
+    assert np.array_equal(perp.basis, want_perp.basis)
+    assert h_inf.dim == hyper_range_nested(t).dim
 
 
 def test_wold_split_of_truncated_shift_is_exact():
