@@ -173,18 +173,35 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return zero_subspace(a.ambient_dim, tol)
     mask = _coordinate_mask(b)
     if mask is not None:
-        if mask.all():
-            return Subspace(a.basis, tol)
-        outside = a.basis[~mask]
-        _, s, vh = np.linalg.svd(
-            outside, full_matrices=outside.shape[0] < outside.shape[1])
-        dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))
-        return Subspace(a.basis @ vh[dropped:].conj().T, tol)
+        return Subspace(_within_mask(a.basis, mask, tol), tol)
     u, s, _ = np.linalg.svd(a.basis.conj().T @ b.basis)
     k = int(np.sum(s >= 1.0 - tol))
     if k == 0:
         return zero_subspace(a.ambient_dim, tol)
     return orthonormalize(a.basis @ u[:, :k], tol)
+
+
+def _within_mask(basis: np.ndarray, mask: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Basis of ``span(basis) & span(e_mask)`` for orthonormal ``basis``.
+
+    The rule of ``intersect`` for a coordinate subspace: ``basis`` times
+    the right singular vectors of its rows outside the mask whose sine is
+    at most ``sqrt(2 tol - tol^2)``. The cut is absolute, so the rule
+    applies to the diagonal blocks of a block-sparse basis one at a time.
+    A basis with no row outside the mask (or no column) is kept whole,
+    and one with no row inside it has all sines 1 and keeps nothing, with
+    no SVD.
+    """
+    if mask.all() or not basis.shape[1]:
+        return basis
+    if not mask.any():
+        return basis[:, :0]
+    outside = basis[~mask]
+    _, s, vh = np.linalg.svd(
+        outside, full_matrices=outside.shape[0] < outside.shape[1])
+    dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))
+    return basis @ vh[dropped:].conj().T
 
 
 def complement(s: Subspace) -> Subspace:
@@ -311,15 +328,24 @@ def kernel(m, tol: float = DEFAULT_TOL) -> Subspace:
     right singular vectors are all of them.
     """
     a = as_matrix(m)
-    n = a.shape[1]
-    if n == 0:
+    if a.shape[1] == 0:
         return zero_subspace(0, tol)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank == n:
-        return zero_subspace(n, tol)
-    return Subspace(np.ascontiguousarray(vh[rank:].conj().T), tol)
+    return Subspace(np.ascontiguousarray(_block_kernels([a], tol)[0]), tol)
+
+
+def _block_kernels(blocks, tol: float) -> list:
+    """Kernel bases of the diagonal blocks of one block-diagonal matrix.
+
+    The rule of ``kernel`` for the whole matrix: every block's rank is cut
+    at ``tol * max(1, s_max)``, with ``s_max`` the largest top singular
+    value over the blocks, which is the whole matrix's. A block with no
+    columns has an empty kernel basis and takes no SVD.
+    """
+    svds = [np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])[1:]
+            if a.shape[1] else (np.zeros(0), np.zeros((0, 0)))
+            for a in blocks]
+    cutoff = tol * max([1.0] + [s[0] for s, _ in svds if s.size])
+    return [vh[int(np.sum(s > cutoff)):].conj().T for s, vh in svds]
 
 
 def pivoted_cholesky(gram, cutoff: float = 1e-12) -> np.ndarray:

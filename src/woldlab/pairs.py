@@ -29,7 +29,7 @@ trust survives a change of basis even though coordinate degrees do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,8 +52,12 @@ from .hardy import (
     shift,
 )
 from .linalg import (
+    DEFAULT_TOL,
     Subspace,
+    _block_kernels,
+    _coordinate_mask,
     _times_basis,
+    _within_mask,
     complement,
     gram_defect,
     intersect,
@@ -128,12 +132,19 @@ class HyperRangeSplit:
     ``h_inf`` and ``h_perp`` hold orthonormal bases ``Q`` of ``H`` and
     ``Q_perp`` of its complement, read off one deflation; ``s2q`` is
     ``S2 Q`` and ``a2`` the compression ``Q^H S2 Q``.
+
+    ``blocks`` are the finest exact diagonal blocks of ``S1`` that the
+    deflation cut, in order: a ``(rows, cols)`` pair of slices each, the
+    block being ``S1[rows, rows]`` and ``Q[rows, cols]`` the part of ``Q``
+    it owns (``Q`` is zero elsewhere in those columns). An ``S1`` with no
+    such split is one block, ``((slice(0, n), slice(0, dim H)),)``.
     """
 
     h_inf: Subspace
     h_perp: Subspace
     s2q: np.ndarray
     a2: np.ndarray
+    blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -178,11 +189,11 @@ class OperatorPair:
     @cached_property
     def split_1(self) -> HyperRangeSplit:
         """Split by the first operator's hyper-range, computed once."""
-        h_inf, h_perp = hyper_range_split(self.s1.matrix)
+        h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix)
         q = h_inf.basis
         s2q = self.s2.matrix @ q
         return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
-                               a2=q.conj().T @ s2q)
+                               a2=q.conj().T @ s2q, blocks=blocks)
 
     @property
     def hyper_range_1(self) -> Subspace:
@@ -218,6 +229,24 @@ class OperatorPair:
 
 
 @dataclass(frozen=True)
+class _BatteryTail:
+    """The arrays ``r_iv`` and ``r_v`` read, and the seed of the samples.
+
+    Arrays only: a report that held its pair would close the cycle pair,
+    cached report, pair, and keep both alive until a garbage collection.
+    ``cross`` is ``B = Q^H S2 Q_perp`` and ``degs`` the coordinate degrees.
+    """
+
+    m1: np.ndarray
+    m2: np.ndarray
+    q: np.ndarray
+    q_perp: np.ndarray
+    cross: np.ndarray
+    degs: np.ndarray
+    seed: int
+
+
+@dataclass(frozen=True)
 class VerdictReport:
     """Residuals of the equivalent orthogonality formulations.
 
@@ -229,19 +258,72 @@ class VerdictReport:
     dimension of the span of projected adjoint-power images; ``r_v`` keeps
     the top singular values of the off-diagonal compression per level,
     reported for inspection only.
+
+    No verdict reads ``r_iv`` or ``r_v``, so both are computed on first
+    read, from the arrays in ``tail``, and cached; the samples ``r_iv``
+    reads are drawn then, from the battery's seed.
     """
 
     e_subspace: Subspace
-    p_inf: Subspace
     r_i: float
     r_ii: float
     r_iii: float
-    r_iv: list
-    r_v: list
     levels: list
-    samples: list
     verdict: bool
     vacuous: bool
+    tail: _BatteryTail | None = field(repr=False)
+
+    @cached_property
+    def r_iv(self) -> list:
+        t = self.tail
+        m1h = t.m1.conj().T
+        e = self.e_subspace.basis
+        samples = [e[:, j].copy() for j in range(e.shape[1])]
+        if e.shape[1] > 1:
+            rng = np.random.default_rng(t.seed)
+            for _ in range(2):
+                coef = rng.normal(size=e.shape[1]) \
+                    + 1j * rng.normal(size=e.shape[1])
+                samples.append(e @ (coef / np.linalg.norm(coef)))
+        # the caps are nested, so each sample's adjoint-power images are
+        # built once at the top cap and every level reads a prefix
+        krylov = []
+        for x in samples:
+            vecs = []
+            v = t.m2 @ x
+            for _ in range(self.levels[-1]):
+                v = m1h @ v
+                vecs.append(v)
+            krylov.append(t.q.conj().T @ np.column_stack(vecs))
+        r_iv: list = []
+        for cap in self.levels:
+            dims_at_level = []
+            for stack in krylov:
+                stack = stack[:, :cap]
+                if stack.size and np.any(stack):
+                    s = np.linalg.svd(stack, compute_uv=False)
+                    dims_at_level.append(int(np.sum(s > 1e-8)))
+                else:
+                    dims_at_level.append(0)
+            r_iv.append(dims_at_level)
+        return r_iv
+
+    @cached_property
+    def r_v(self) -> list:
+        t = self.tail
+        n = t.q_perp.shape[0]
+        r_v: list = []
+        for cap in self.levels:
+            cols = t.q_perp.conj().T[:, t.degs <= cap]
+            if cols.shape[1] > cols.shape[0]:
+                cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
+            s = np.linalg.svd(t.cross @ cols, compute_uv=False)
+            # the masked n x n block P S2 (I - P) D has n singular values,
+            # the ones the R factor leaves out being zero
+            top5 = np.zeros(min(5, n))
+            top5[:min(5, s.size)] = s[:5]
+            r_v.append([float(x) for x in top5])
+        return r_v
 
 
 @dataclass(frozen=True)
@@ -473,6 +555,36 @@ def _level_caps(top: int, n_levels: int) -> list:
     return caps
 
 
+def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
+                      probe: Subspace,
+                      mask: np.ndarray) -> tuple[Subspace, Subspace]:
+    """``E = ker(S1^H P)`` on the probe, and ``H & probe``, block by block.
+
+    For the coordinate probe ``span(e_mask)`` both only read ``S1`` and
+    the probe, so on a block-diagonal ``S1`` they are sums over its
+    diagonal blocks: ``E`` of the kernels of ``S1^H[rows, probed rows]``,
+    and ``H & probe`` of the intersections of ``Q[rows, cols]`` with the
+    block's probed coordinates. Every kernel rank is cut at the largest
+    block's top singular value, ``kernel``'s rule for the whole matrix;
+    the intersections' sine cut is absolute. The bases are lifted by rows.
+    """
+    n = m1h.shape[0]
+    q = split.h_inf.basis
+    tol = max(split.h_inf.tol, probe.tol)
+    kernels = _block_kernels([m1h[rows, rows][:, mask[rows]]
+                              for rows, _ in split.blocks], DEFAULT_TOL)
+    e_cols, h_cols = [], []
+    for (rows, cols), kern in zip(split.blocks, kernels):
+        e = np.zeros((n, kern.shape[1]), dtype=np.complex128)
+        e[rows.start + np.flatnonzero(mask[rows])] = kern
+        e_cols.append(e)
+        part = _within_mask(q[rows, cols], mask[rows], tol)
+        h = np.zeros((n, part.shape[1]), dtype=np.complex128)
+        h[rows] = part
+        h_cols.append(h)
+    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols), tol)
+
+
 def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     """Independent residuals for the orthogonality verdict.
 
@@ -485,6 +597,16 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     wandering basis vector and, when there are several, two random
     combinations drawn from ``seed``.
 
+    The two subspaces the verdict rests on, ``E = ker(S1^H P)`` on the
+    probe and ``H & probe``, only read ``S1`` and the probe. For a
+    coordinate probe they are found one diagonal block of ``S1`` at a
+    time, over the blocks the pair's split carries, and lifted by rows;
+    every block's kernel rank is cut at the largest block's top singular
+    value, the rule ``kernel`` applies to the whole matrix, and the
+    intersections' sine cut is absolute. An ``S1`` with no exact
+    block-diagonal split is the case of one block. Any other probe takes
+    ``kernel(S1^H P)`` and ``intersect(H, probe)`` whole.
+
     Every residual is computed at working size, in the split basis
     ``[Q, Q_perp]`` of the hyper-range and its complement, never on an
     n x n projector: a projected image ``P x`` enters through ``Q^H x``,
@@ -494,16 +616,23 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     masked columns of ``Q_perp^H``, reduced by their R factor to at most
     ``n - dim H`` columns, which keeps the singular values. A coordinate
     probe ``P`` is applied to ``S1^H`` by column selection.
+
+    Nothing the verdict reads needs ``r_iv``, ``r_v`` or their Krylov
+    stacks, so the report computes them on first read, from arrays it
+    holds (never the pair), with the same samples and the same values.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     m1h = m1.conj().T
-    n = p.space.dim
     split = p.split_1
     h_inf = split.h_inf
     q, q_perp = h_inf.basis, split.h_perp.basis
-    wandering = kernel(_times_basis(m1h, p.probe))
-    e_sub = Subspace(p.probe.basis @ wandering.basis)
-    h_probe = intersect(h_inf, p.probe)
+    mask = _coordinate_mask(p.probe)
+    if mask is None:
+        wandering = kernel(_times_basis(m1h, p.probe))
+        e_sub = Subspace(p.probe.basis @ wandering.basis)
+        h_probe = intersect(h_inf, p.probe)
+    else:
+        e_sub, h_probe = _probed_subspaces(m1h, split, p.probe, mask)
     cross = q.conj().T @ (m2 @ q_perp)
     red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
@@ -515,54 +644,15 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
     r_iii = 0.0 if vacuous else operator_norm(q.conj().T @ (m2 @ e_sub.basis))
-    samples = [e_sub.basis[:, j].copy() for j in range(e_sub.dim)]
-    if e_sub.dim > 1:
-        rng = np.random.default_rng(seed)
-        for _ in range(2):
-            coef = rng.normal(size=e_sub.dim) \
-                + 1j * rng.normal(size=e_sub.dim)
-            v = e_sub.basis @ (coef / np.linalg.norm(coef))
-            samples.append(v)
-    top = max(int(np.max(p.space.degrees_array())), _N_LEVELS)
-    levels = _level_caps(top, _N_LEVELS)
-    # the caps are nested, so each sample's adjoint-power images are built
-    # once at the top cap and every level reads a prefix
-    krylov = []
-    for x in samples:
-        vecs = []
-        v = m2 @ x
-        for _ in range(levels[-1]):
-            v = m1h @ v
-            vecs.append(v)
-        krylov.append(q.conj().T @ np.column_stack(vecs))
-    r_iv: list = []
-    for cap in levels:
-        dims_at_level = []
-        for stack in krylov:
-            stack = stack[:, :cap]
-            if stack.size and np.any(stack):
-                s = np.linalg.svd(stack, compute_uv=False)
-                dims_at_level.append(int(np.sum(s > 1e-8)))
-            else:
-                dims_at_level.append(0)
-        r_iv.append(dims_at_level)
     degs = p.space.degrees_array()
-    r_v: list = []
-    for cap in levels:
-        cols = q_perp.conj().T[:, degs <= cap]
-        if cols.shape[1] > cols.shape[0]:
-            cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
-        s = np.linalg.svd(cross @ cols, compute_uv=False)
-        # the masked n x n block P S2 (I - P) D has n singular values, the
-        # ones the R factor leaves out being zero
-        top5 = np.zeros(min(5, n))
-        top5[:min(5, s.size)] = s[:5]
-        r_v.append([float(x) for x in top5])
+    top = max(int(np.max(degs)), _N_LEVELS)
     verdict = bool(vacuous or r_iii <= 1e-8)
     return VerdictReport(
-        e_subspace=e_sub, p_inf=h_inf, r_i=float(r_i), r_ii=float(r_ii),
-        r_iii=float(r_iii), r_iv=r_iv, r_v=r_v, levels=levels,
-        samples=samples, verdict=verdict, vacuous=vacuous,
+        e_subspace=e_sub, r_i=float(r_i), r_ii=float(r_ii),
+        r_iii=float(r_iii), levels=_level_caps(top, _N_LEVELS),
+        verdict=verdict, vacuous=vacuous,
+        tail=_BatteryTail(m1=m1, m2=m2, q=q, q_perp=q_perp, cross=cross,
+                          degs=degs, seed=seed),
     )
 
 

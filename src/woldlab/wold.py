@@ -265,22 +265,30 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     return _deflated_range(m, tol)[0]
 
 
-def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace]:
-    """Hyper-range of a square matrix and its orthogonal complement.
+def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace,
+                                                     tuple]:
+    """Hyper-range of a square matrix, its orthogonal complement, and the
+    diagonal blocks the deflation cut.
 
-    Both come out of the one deflation ``hyper_range`` runs. Per diagonal
-    block, the complement is spanned by the trailing left singular vectors
-    of its SVD of ``T^N`` (all of the block when the block is strictly
-    triangular or the guess is rejected),
+    Both subspaces come out of the one deflation ``hyper_range`` runs. Per
+    diagonal block, the complement is spanned by the trailing left
+    singular vectors of its SVD of ``T^N`` (all of the block when the
+    block is strictly triangular or the guess is rejected),
     lifted by the complement of the nested remainder when the nested
     iteration runs. So the split costs one hyper-range, where
     ``complement(hyper_range(t))`` adds a full n x n SVD.
+
+    The third value lists the finest exact diagonal blocks of ``T`` in
+    order, one ``(rows, cols)`` pair of slices each: the block is
+    ``T[rows, rows]``, and the hyper-range basis is zero outside the
+    rectangles ``[rows, cols]``, so block ``k`` owns columns ``cols`` of
+    it. A matrix of one block gives ``((slice(0, n), slice(0, h)),)``.
     """
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    h_inf, perp = _deflated_range(m, tol)
-    return h_inf, Subspace(np.ascontiguousarray(perp), tol)
+    h_inf, perp, blocks = _deflated_range(m, tol)
+    return h_inf, Subspace(np.ascontiguousarray(perp), tol), blocks
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
@@ -356,9 +364,9 @@ def _diagonal_blocks(m: np.ndarray) -> np.ndarray:
 
 
 def _deflated_range(m: np.ndarray,
-                    tol: float) -> tuple[Subspace, np.ndarray]:
+                    tol: float) -> tuple[Subspace, np.ndarray, tuple]:
     """Hyper-range of a plain matrix by deflation, with a basis of its
-    orthogonal complement; see ``hyper_range``.
+    orthogonal complement and the blocks; see ``hyper_range_split``.
 
     An exactly block-diagonal matrix is deflated block by block, every cut
     anchored at the largest block norm, and the bases are lifted by rows.
@@ -366,18 +374,22 @@ def _deflated_range(m: np.ndarray,
     n = m.shape[0]
     ends = _diagonal_blocks(m)
     if ends.size <= 1:
-        return _deflated_block(m, tol, None)
-    slices = [slice(a, b + 1) for a, b in zip(np.r_[0, ends[:-1] + 1], ends)]
+        h_inf, perp = _deflated_block(m, tol, None)
+        return h_inf, perp, ((slice(0, n), slice(0, h_inf.dim)),)
+    slices = [slice(int(a), int(b) + 1)
+              for a, b in zip(np.r_[0, ends[:-1] + 1], ends)]
     norm = max(operator_norm(m[sl, sl]) for sl in slices)
     splits = [_deflated_block(m[sl, sl], tol, norm) for sl in slices]
     h_inf = np.zeros((n, sum(h.dim for h, _ in splits)), dtype=np.complex128)
     perp = np.zeros((n, n - h_inf.shape[1]), dtype=np.complex128)
+    blocks = []
     col_h = col_p = 0
     for sl, (h, p) in zip(slices, splits):
         h_inf[sl, col_h:col_h + h.dim] = h.basis
         perp[sl, col_p:col_p + p.shape[1]] = p
+        blocks.append((sl, slice(col_h, col_h + h.dim)))
         col_h, col_p = col_h + h.dim, col_p + p.shape[1]
-    return Subspace(h_inf, tol), perp
+    return Subspace(h_inf, tol), perp, tuple(blocks)
 
 
 def _strictly_triangular(m: np.ndarray) -> bool:

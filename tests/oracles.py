@@ -268,11 +268,14 @@ def verdict_battery_projector(p: OperatorPair,
         s = np.linalg.svd(block, compute_uv=False)
         r_v.append([float(x) for x in s[:5]])
     verdict = bool(vacuous or r_iii <= 1e-8)
-    return VerdictReport(
-        e_subspace=e_sub, p_inf=h_inf, r_i=float(r_i), r_ii=float(r_ii),
-        r_iii=float(r_iii), r_iv=r_iv, r_v=r_v, levels=levels,
-        samples=samples, verdict=verdict, vacuous=vacuous,
+    rep = VerdictReport(
+        e_subspace=e_sub, r_i=float(r_i), r_ii=float(r_ii),
+        r_iii=float(r_iii), levels=levels, verdict=verdict, vacuous=vacuous,
+        tail=None,
     )
+    # r_iv and r_v are cached properties: fill the cache with these values
+    vars(rep).update(r_iv=r_iv, r_v=r_v)
+    return rep
 
 
 def _ladder_rungwise(step: np.ndarray, start: Subspace, probe: Subspace,

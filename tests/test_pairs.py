@@ -1,5 +1,8 @@
 """Pair validation, the verdict battery, and structure recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,8 @@ from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            multiplier, shift)
-from woldlab.linalg import (Subspace, complement, gram_defect,
-                            mutual_orthogonality, operator_norm,
+from woldlab.linalg import (Subspace, complement, gram_defect, intersect,
+                            kernel, mutual_orthogonality, operator_norm,
                             orthonormalize, reducing_residual,
                             subspace_distance, unimodular_clusters,
                             unitarity_defect, zero_subspace)
@@ -269,13 +272,18 @@ def test_verdict_battery_matches_projector_oracle(name):
 def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     pair = construct_example(polynomial([0.5, 0.5]), 48)
     n = pair.space.dim
-    pair.hyper_range_1  # cached on the pair: count the battery's own SVDs
-    wide = []
+    # cached on the pair: count the battery's own SVDs
+    largest = max(rows.stop - rows.start for rows, _ in pair.split_1.blocks)
+    wide, svd_rows = [], []
 
     def recording(real):
+        is_svd = real is np.linalg.svd
+
         def call(a, *args, **kwargs):
             if np.shape(a)[-1] == n:
                 wide.append((real.__name__, np.shape(a)))
+            if is_svd:
+                svd_rows.append(np.shape(a)[0])
             return real(a, *args, **kwargs)
         return call
 
@@ -283,10 +291,80 @@ def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     for name in ("operator_norm", "gram_defect"):
         monkeypatch.setattr(woldlab.pairs, name,
                             recording(getattr(woldlab.pairs, name)))
-    verdict_battery(pair)
+    rep = verdict_battery(pair)
+    head = list(svd_rows)
+    rep.r_iv, rep.r_v  # the tail's SVDs count too
     # the top cap of r_v reads B = Q^H S2 Q_perp through an R factor, so
     # no SVD or norm input spans all n columns, let alone n x n
     assert wide == []
+    # E and H & probe are found block by block: before the tail is read,
+    # no SVD has more rows than S1's largest diagonal block (54 of 201)
+    assert largest < n
+    assert head and max(head) <= largest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_example(blaschke([0.5], truncation_hint=120), 16),
+    lambda: three_part_pair(1, degree=40)[0],
+    lambda: four_block_pair(3, f_degree=10, g_degree=10, bidegree=8)[0],
+], ids=["example", "three-part", "four-block"])
+def test_battery_tail_is_computed_only_when_read(make):
+    pair = make()
+    rep = verdict_battery(pair, seed=3)
+    model_decomposition(pair)
+    finiteness_checks(pair)
+    for report in (rep, pair.verdict_report):
+        assert "r_iv" not in vars(report) and "r_v" not in vars(report)
+    # read, the tail is cached, and its samples come from the seed given
+    want = verdict_battery_projector(pair, seed=3)
+    assert rep.r_iv == want.r_iv and rep.r_iv is rep.r_iv
+    assert np.max(np.abs(np.subtract(rep.r_v, want.r_v))) <= 1e-13
+
+
+def test_a_pair_whose_report_was_read_dies_without_a_collection():
+    # the report holds arrays, not the pair: the pair, its cached report
+    # and the report's lazy tail form no reference cycle
+    gc.disable()
+    try:
+        pair = construct_example(polynomial([0.5, 0.5]), 16)
+        rep = pair.verdict_report
+        rep.r_iv, rep.r_v
+        ref = weakref.ref(pair)
+        del pair
+        assert ref() is None
+        assert rep.r_iv == [[7], [14], [17]]
+    finally:
+        gc.enable()
+
+
+_BLOCK_PATH_PAIRS = {
+    **{f"polynomial-{d}": (lambda d=d: construct_example(
+        polynomial([0.5, 0.5]), d)) for d in (16, 32, 48)},
+    # a 9-dimensional E across the shift block and the tensor-shift block
+    "four-block-3": lambda: four_block_pair(
+        3, f_degree=10, g_degree=10, bidegree=8)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_PATH_PAIRS))
+def test_block_path_finds_the_subspaces_of_the_general_path(name):
+    pair = _BLOCK_PATH_PAIRS[name]()
+    m1, split, probe = pair.s1.matrix, pair.split_1, pair.probe
+    mask = np.any(probe.basis != 0, axis=1)  # the probe's coordinates
+    e_sub, h_probe = woldlab.pairs._probed_subspaces(m1.conj().T, split,
+                                                     probe, mask)
+    assert len(split.blocks) > 1
+    assert np.array_equal(verdict_battery(pair).e_subspace.basis,
+                          e_sub.basis)
+    want_e = intersect(kernel(m1.conj().T), probe)
+    want_h = intersect(split.h_inf, probe)
+    assert e_sub.dim == want_e.dim > 0
+    assert h_probe.dim == want_h.dim
+    assert subspace_distance(e_sub, want_e) <= 1e-12
+    assert subspace_distance(h_probe, want_h) <= 1e-12
+    owners = sum(np.linalg.norm(e_sub.basis[rows]) > 0.5
+                 for rows, _ in split.blocks)
+    assert owners == (2 if name.startswith("four-block") else 1)
 
 
 @pytest.mark.parametrize("make", [

@@ -354,7 +354,7 @@ def test_hyper_range_split_complement_matches_complement_oracle(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(wold, "_nested_range", counting)
-    h_inf, perp = wold.hyper_range_split(t)
+    h_inf, perp, _ = wold.hyper_range_split(t)
     assert bool(runs) is nested
     assert np.array_equal(h_inf.basis, hyper_range(t).basis)
     assert h_inf.dim + perp.dim == t.shape[0]
@@ -484,12 +484,32 @@ _BLOCK_SPLIT_INPUTS = {
 @pytest.mark.parametrize("name", sorted(_BLOCK_SPLIT_INPUTS))
 def test_block_split_matches_nested_oracle(name):
     t = _BLOCK_SPLIT_INPUTS[name]()
-    h_inf, perp = wold.hyper_range_split(t)
+    h_inf, perp, _ = wold.hyper_range_split(t)
     want = hyper_range_nested(t)
     assert h_inf.dim == want.dim
     assert perp.dim == t.shape[0] - want.dim
     assert subspace_distance(h_inf, want) <= 1e-12
     assert subspace_distance(perp, complement(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_SPLIT_INPUTS))
+def test_block_split_lists_the_blocks_that_own_the_basis(name):
+    t = _BLOCK_SPLIT_INPUTS[name]()
+    n = t.shape[0]
+    h_inf, _, blocks = wold.hyper_range_split(t)
+    # the rows tile 0..n in order, and the owned columns tile 0..dim H
+    for k, total in ((0, n), (1, h_inf.dim)):
+        bounds = [(b[k].start, b[k].stop) for b in blocks]
+        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+        assert bounds[-1][1] == total
+    owned = np.zeros(h_inf.basis.shape, dtype=bool)
+    for rows, cols in blocks:
+        owned[rows, cols] = True
+        off = np.ones(n, dtype=bool)
+        off[rows] = False
+        # nothing links a block to the rest: it is a diagonal block
+        assert not np.any(t[rows][:, off]) and not np.any(t[off][:, rows])
+    assert not np.any(h_inf.basis[~owned])
 
 
 @pytest.mark.parametrize("make, sizes", [
@@ -557,14 +577,14 @@ def test_strictly_triangular_blocks_are_not_deflated(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     if one_block:
         monkeypatch.setattr(wold, "operator_norm", refuse)
-    h_inf, perp = wold.hyper_range_split(t)
+    h_inf, perp, _ = wold.hyper_range_split(t)
     monkeypatch.undo()
     # only the unitary block of the last input is factored
     assert all(max(shape) <= 3 for shape in shapes)
     assert whole == (not shapes)
     # bitwise what the nilpotency certificate returns with the rule bypassed
     monkeypatch.setattr(wold, "_strictly_triangular", lambda m: False)
-    want_h, want_perp = wold.hyper_range_split(t)
+    want_h, want_perp, _ = wold.hyper_range_split(t)
     assert np.array_equal(h_inf.basis, want_h.basis)
     assert np.array_equal(perp.basis, want_perp.basis)
     assert h_inf.dim == hyper_range_nested(t).dim

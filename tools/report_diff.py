@@ -17,7 +17,7 @@ Exit status 0 when nothing mismatches and no difference exceeds ``TOL``
 (1e-14); 1 otherwise.
 
 ``CASES`` is a chosen spread of configs (the example symbols, level
-lists, a loose tolerance, atoms and the other fixtures). It is its own
+lists up to degree 48, a loose tolerance, atoms and the other fixtures). It is its own
 list, not a mirror of the configs of the command-line tests.
 """
 
@@ -45,6 +45,7 @@ CASES = {
     "half": HALF,
     "inner": INNER,
     "half-16-24": dict(HALF, levels=[16, 24]),
+    "half-48": dict(HALF, levels=[40, 48]),
     "inner-32": dict(INNER, levels=[32]),
     "blaschke-04": {"symbol": {"kind": "blaschke", "zeros": [[0.4, 0.0]]},
                     "levels": [16, 24]},
