@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import Subspace
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
@@ -60,11 +59,6 @@ class TruncatedSpace:
 
     def degrees_array(self) -> np.ndarray:
         return np.asarray(self.coordinate_degrees, dtype=int)
-
-
-def _coordinate_subspace(mask: np.ndarray) -> Subspace:
-    """Span of the coordinate vectors a boolean mask selects."""
-    return Subspace(np.eye(mask.size, dtype=np.complex128)[:, mask])
 
 
 def hardy_space(fiber_dim: int, degree: int) -> TruncatedSpace:

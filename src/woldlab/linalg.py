@@ -14,7 +14,7 @@ the angle-ordered clustering of unimodular eigenvalues
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,13 +63,13 @@ class Subspace:
     ----------
     basis : ndarray, shape (ambient_dim, dim)
         Orthonormal columns. A zero-dimensional subspace has shape (n, 0).
-    tol : float
-        The rank threshold the subspace was constructed with; inherited by
-        derived subspaces.
+    mask : ndarray of bool, shape (ambient_dim,), or None
+        Set by ``Subspace.coordinates`` alone, so ``basis == eye(n)[:, mask]``
+        always holds; None for any other basis, identity columns included.
     """
 
     basis: np.ndarray
-    tol: float = DEFAULT_TOL
+    mask: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         q = self.basis
@@ -81,6 +81,16 @@ class Subspace:
                 raise ValidationError(
                     f"basis columns not orthonormal (defect {defect:.3e})"
                 )
+
+    @classmethod
+    def coordinates(cls, mask) -> Subspace:
+        """Span of the coordinate vectors a 1-D boolean mask selects."""
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 1:
+            raise ValidationError(f"mask must be 1-D, got ndim={mask.ndim}")
+        sub = cls(np.eye(mask.size, dtype=np.complex128)[:, mask])
+        object.__setattr__(sub, "mask", mask)
+        return sub
 
     @property
     def ambient_dim(self) -> int:
@@ -106,18 +116,18 @@ def orthonormalize(m, tol: float = DEFAULT_TOL) -> Subspace:
     """
     a = as_matrix(m)
     if a.shape[1] == 0 or not np.any(a):
-        return zero_subspace(a.shape[0], tol)
+        return zero_subspace(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > tol * s[0]))
-    return Subspace(np.ascontiguousarray(u[:, :rank]), tol)
+    return Subspace(np.ascontiguousarray(u[:, :rank]))
 
 
-def zero_subspace(n: int, tol: float = DEFAULT_TOL) -> Subspace:
-    return Subspace(np.zeros((n, 0), dtype=np.complex128), tol)
+def zero_subspace(n: int) -> Subspace:
+    return Subspace(np.zeros((n, 0), dtype=np.complex128))
 
 
-def full_subspace(n: int, tol: float = DEFAULT_TOL) -> Subspace:
-    return Subspace(np.eye(n, dtype=np.complex128), tol)
+def full_subspace(n: int) -> Subspace:
+    return Subspace.coordinates(np.ones(n, dtype=bool))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):
@@ -127,57 +137,41 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
-def _coordinate_mask(s: Subspace) -> np.ndarray | None:
-    """The mask with ``s.basis == eye(n)[:, mask]``, or None.
-
-    A coordinate subspace is one whose basis is identity columns in
-    increasing order, exactly: one entry 1 per column and zeros elsewhere.
-    """
-    rows, cols = np.nonzero(s.basis != 0)
-    if rows.size != s.dim or np.any(cols != np.arange(s.dim)) \
-            or np.any(np.diff(rows) <= 0) or np.any(s.basis[rows, cols] != 1):
-        return None
-    mask = np.zeros(s.ambient_dim, dtype=bool)
-    mask[rows] = True
-    return mask
-
-
 def _times_basis(m: np.ndarray, s: Subspace) -> np.ndarray:
-    """``m @ s.basis``, read as a column selection for a coordinate ``s``.
+    """``m @ s.basis``, read as a column selection when ``s`` has a mask.
 
-    The selection equals the product bitwise, up to the sign of a zero.
+    A subspace built by ``Subspace.coordinates`` carries its mask; the
+    selection equals the product bitwise, up to the sign of a zero.
     """
-    mask = _coordinate_mask(s)
-    return m @ s.basis if mask is None else m[:, mask]
+    return m @ s.basis if s.mask is None else m[:, s.mask]
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
+def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Principal vectors whose cosine (singular value of a^H b) reaches
-    ``1 - tol`` are kept, where ``tol`` is the larger of the two construction
-    tolerances.
+    ``1 - tol`` are kept.
 
-    When ``b`` is a coordinate subspace ``span(e_mask)``, the sines of the
-    principal angles are the singular values of the rows of ``a``'s basis
-    outside the mask (padded with zeros to ``a.dim``). The intersection is
-    ``a``'s basis times the right singular vectors whose sine is at most
-    ``sqrt(2 tol - tol^2)``, the same rule as the cosine's, from one
-    ``(n - |mask|) x dim a`` SVD; that basis is orthonormal as it stands.
-    Otherwise the cosines come from the SVD of ``a^H b`` and the kept
-    principal vectors are re-orthonormalized.
+    When ``b`` was built by ``Subspace.coordinates`` as ``span(e_mask)``,
+    the sines of the principal angles are the singular values of the rows
+    of ``a``'s basis outside the mask (padded with zeros to ``a.dim``).
+    The intersection is ``a``'s basis times the right singular vectors
+    whose sine is at most ``sqrt(2 tol - tol^2)``, the same rule as the
+    cosine's, from one ``(n - |mask|) x dim a`` SVD; that basis is
+    orthonormal as it stands.
+    Any other ``b``, identity columns included, is general: the cosines
+    come from the SVD of ``a^H b`` and the kept principal vectors are
+    re-orthonormalized.
     """
     _check_same_ambient(a, b)
-    tol = max(a.tol, b.tol)
     if a.dim == 0 or b.dim == 0:
-        return zero_subspace(a.ambient_dim, tol)
-    mask = _coordinate_mask(b)
-    if mask is not None:
-        return Subspace(_within_mask(a.basis, mask, tol), tol)
+        return zero_subspace(a.ambient_dim)
+    if b.mask is not None:
+        return Subspace(_within_mask(a.basis, b.mask, tol))
     u, s, _ = np.linalg.svd(a.basis.conj().T @ b.basis)
     k = int(np.sum(s >= 1.0 - tol))
     if k == 0:
-        return zero_subspace(a.ambient_dim, tol)
+        return zero_subspace(a.ambient_dim)
     return orthonormalize(a.basis @ u[:, :k], tol)
 
 
@@ -208,12 +202,12 @@ def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space."""
     n = s.ambient_dim
     if s.dim == 0:
-        return full_subspace(n, s.tol)
+        return full_subspace(n)
     if s.dim == n:
-        return zero_subspace(n, s.tol)
+        return zero_subspace(n)
     # Left null space of the basis via full SVD; exact orthogonality to s.
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(np.ascontiguousarray(u[:, s.dim:]), s.tol)
+    return Subspace(np.ascontiguousarray(u[:, s.dim:]))
 
 
 def reducing_residual(t, s: Subspace) -> tuple[float, float]:
@@ -329,8 +323,8 @@ def kernel(m, tol: float = DEFAULT_TOL) -> Subspace:
     """
     a = as_matrix(m)
     if a.shape[1] == 0:
-        return zero_subspace(0, tol)
-    return Subspace(np.ascontiguousarray(_block_kernels([a], tol)[0]), tol)
+        return zero_subspace(0)
+    return Subspace(np.ascontiguousarray(_block_kernels([a], tol)[0]))
 
 
 def _block_kernels(blocks, tol: float) -> list:

@@ -43,7 +43,6 @@ from .errors import (
 from .hardy import (
     GradedOperator,
     TruncatedSpace,
-    _coordinate_subspace,
     abstract_space,
     compress,
     direct_sum,
@@ -55,7 +54,6 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     _block_kernels,
-    _coordinate_mask,
     _times_basis,
     _within_mask,
     complement,
@@ -194,11 +192,6 @@ class OperatorPair:
         s2q = self.s2.matrix @ q
         return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
                                a2=q.conj().T @ s2q, blocks=blocks)
-
-    @property
-    def hyper_range_1(self) -> Subspace:
-        """Hyper-range of the first operator, read off ``split_1``."""
-        return self.split_1.h_inf
 
     @cached_property
     def unitary_part_1(self) -> CanonicalDecomposition:
@@ -392,7 +385,7 @@ class FinitenessReport:
 def _default_probe(s1: GradedOperator, s2: GradedOperator) -> Subspace:
     degs = s1.domain.degrees_array()
     cut = s1.domain.degree - s1.growth - s2.growth
-    return _coordinate_subspace(degs <= cut)
+    return Subspace.coordinates(degs <= cut)
 
 
 def validate_pair(s1, s2, probe: Subspace | None = None,
@@ -401,13 +394,13 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
 
     The commutator and each operator's isometry defect are evaluated on the
     probe subspace (by default, coordinates far enough below the top degree
-    that truncation cannot reach them). A coordinate probe (identity
-    columns, as the default and the unscrambled fixtures' probes are) is
-    applied by column selection, so its images ``S P`` are read rather
-    than multiplied; the residuals take the same route. Each defect is decided
-    by its Frobenius norm first, an upper bound of its operator norm: at
-    or below 1e-8 it passes with no SVD. Otherwise the pair's exact
-    residual (an operator norm) decides, and names the value when it
+    that truncation cannot reach them). A probe built by
+    ``Subspace.coordinates`` (the default and the unscrambled fixtures'
+    probes) is applied by column selection, so its images ``S P`` are read
+    rather than multiplied; the residuals take the same route. Each defect
+    is decided by its Frobenius norm first, an upper bound of its operator
+    norm: at or below 1e-8 it passes with no SVD. Otherwise the pair's
+    exact residual (an operator norm) decides, and names the value when it
     raises; a non-finite entry never passes. The returned pair computes
     its three residuals on first read.
 
@@ -556,21 +549,20 @@ def _level_caps(top: int, n_levels: int) -> list:
 
 
 def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
-                      probe: Subspace,
-                      mask: np.ndarray) -> tuple[Subspace, Subspace]:
+                      probe: Subspace) -> tuple[Subspace, Subspace]:
     """``E = ker(S1^H P)`` on the probe, and ``H & probe``, block by block.
 
-    For the coordinate probe ``span(e_mask)`` both only read ``S1`` and
-    the probe, so on a block-diagonal ``S1`` they are sums over its
-    diagonal blocks: ``E`` of the kernels of ``S1^H[rows, probed rows]``,
-    and ``H & probe`` of the intersections of ``Q[rows, cols]`` with the
-    block's probed coordinates. Every kernel rank is cut at the largest
-    block's top singular value, ``kernel``'s rule for the whole matrix;
-    the intersections' sine cut is absolute. The bases are lifted by rows.
+    For a probe built by ``Subspace.coordinates``, ``span(e_mask)`` with
+    its mask, both only read ``S1`` and the probe, so on a block-diagonal
+    ``S1`` they are sums over its diagonal blocks: ``E`` of the kernels of
+    ``S1^H[rows, probed rows]``, and ``H & probe`` of the intersections of
+    ``Q[rows, cols]`` with the block's probed coordinates. Every kernel
+    rank is cut at the largest block's top singular value, ``kernel``'s
+    rule for the whole matrix; the intersections' sine cut is absolute.
+    The bases are lifted by rows.
     """
-    n = m1h.shape[0]
+    n, mask = m1h.shape[0], probe.mask
     q = split.h_inf.basis
-    tol = max(split.h_inf.tol, probe.tol)
     kernels = _block_kernels([m1h[rows, rows][:, mask[rows]]
                               for rows, _ in split.blocks], DEFAULT_TOL)
     e_cols, h_cols = [], []
@@ -578,11 +570,11 @@ def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
         e = np.zeros((n, kern.shape[1]), dtype=np.complex128)
         e[rows.start + np.flatnonzero(mask[rows])] = kern
         e_cols.append(e)
-        part = _within_mask(q[rows, cols], mask[rows], tol)
+        part = _within_mask(q[rows, cols], mask[rows], DEFAULT_TOL)
         h = np.zeros((n, part.shape[1]), dtype=np.complex128)
         h[rows] = part
         h_cols.append(h)
-    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols), tol)
+    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols))
 
 
 def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
@@ -598,13 +590,14 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     combinations drawn from ``seed``.
 
     The two subspaces the verdict rests on, ``E = ker(S1^H P)`` on the
-    probe and ``H & probe``, only read ``S1`` and the probe. For a
-    coordinate probe they are found one diagonal block of ``S1`` at a
-    time, over the blocks the pair's split carries, and lifted by rows;
-    every block's kernel rank is cut at the largest block's top singular
-    value, the rule ``kernel`` applies to the whole matrix, and the
-    intersections' sine cut is absolute. An ``S1`` with no exact
-    block-diagonal split is the case of one block. Any other probe takes
+    probe and ``H & probe``, only read ``S1`` and the probe. For a probe
+    built by ``Subspace.coordinates``, which carries its mask, they are
+    found one diagonal block of ``S1`` at a time, over the blocks the
+    pair's split carries, and lifted by rows; every block's kernel rank is
+    cut at the largest block's top singular value, the rule ``kernel``
+    applies to the whole matrix, and the intersections' sine cut is
+    absolute. An ``S1`` with no exact block-diagonal split is the case of
+    one block. Any other probe, identity columns included, takes
     ``kernel(S1^H P)`` and ``intersect(H, probe)`` whole.
 
     Every residual is computed at working size, in the split basis
@@ -614,8 +607,8 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
     ``B = Q^H S2 Q_perp`` (``red_in``). ``r_v`` reads ``B`` times the
     masked columns of ``Q_perp^H``, reduced by their R factor to at most
-    ``n - dim H`` columns, which keeps the singular values. A coordinate
-    probe ``P`` is applied to ``S1^H`` by column selection.
+    ``n - dim H`` columns, which keeps the singular values. A probe ``P``
+    that carries its mask is applied to ``S1^H`` by column selection.
 
     Nothing the verdict reads needs ``r_iv``, ``r_v`` or their Krylov
     stacks, so the report computes them on first read, from arrays it
@@ -626,13 +619,12 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     split = p.split_1
     h_inf = split.h_inf
     q, q_perp = h_inf.basis, split.h_perp.basis
-    mask = _coordinate_mask(p.probe)
-    if mask is None:
+    if p.probe.mask is None:
         wandering = kernel(_times_basis(m1h, p.probe))
         e_sub = Subspace(p.probe.basis @ wandering.basis)
         h_probe = intersect(h_inf, p.probe)
     else:
-        e_sub, h_probe = _probed_subspaces(m1h, split, p.probe, mask)
+        e_sub, h_probe = _probed_subspaces(m1h, split, p.probe)
     cross = q.conj().T @ (m2 @ q_perp)
     red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
@@ -891,7 +883,7 @@ def _block_pair(parts, cross: np.ndarray | None = None,
         m1[sl, sl], m2[sl, sl], mask[sl] = a1, a2, trusted
     if cross is not None:
         m2[:cross.shape[0], slices[-1]] = cross
-    probe = _coordinate_subspace(mask)
+    probe = Subspace.coordinates(mask)
     if scramble is not None:
         space = abstract_space(n)
         m1, m2 = (scramble @ m @ scramble.conj().T for m in (m1, m2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .hardy import GradedOperator, _coordinate_subspace, abstract_space
+from .hardy import GradedOperator, abstract_space
 from .linalg import (
     Subspace,
     as_matrix,
@@ -159,7 +159,7 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     n = m.shape[0]
     eye = np.eye(n)
     start = intersect(kernel(eye - m.conj().T @ m, tol),
-                      kernel(eye - m @ m.conj().T, tol))
+                      kernel(eye - m @ m.conj().T, tol), tol)
     block = complement(start).basis
     basis = block
     cut = np.sqrt(2.0 * tol)
@@ -180,7 +180,7 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
                 RuntimeWarning, stacklevel=2)
         block = u[:, s > cut]
         basis = np.hstack([basis, block])
-    cnu = Subspace(basis, tol)
+    cnu = Subspace(basis)
     unitary = complement(cnu)
     unitary_block = unitary.basis.conj().T @ m @ unitary.basis
     return CanonicalDecomposition(
@@ -288,7 +288,7 @@ def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace,
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
     h_inf, perp, blocks = _deflated_range(m, tol)
-    return h_inf, Subspace(np.ascontiguousarray(perp), tol), blocks
+    return h_inf, Subspace(np.ascontiguousarray(perp)), blocks
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
@@ -303,7 +303,7 @@ def _nested_range(m: np.ndarray, cap: int, tol: float,
         sub = orthonormalize(a, tol)
         # the gain of each kept direction is its singular value
         gains = np.linalg.norm(a.conj().T @ sub.basis, axis=0)
-        return Subspace(sub.basis[:, gains > tol * scale], tol)
+        return Subspace(sub.basis[:, gains > tol * scale])
 
     cur = span(m)
     for _ in range(cap - 1):
@@ -389,7 +389,7 @@ def _deflated_range(m: np.ndarray,
         perp[sl, col_p:col_p + p.shape[1]] = p
         blocks.append((sl, slice(col_h, col_h + h.dim)))
         col_h, col_p = col_h + h.dim, col_p + p.shape[1]
-    return Subspace(h_inf, tol), perp, tuple(blocks)
+    return Subspace(h_inf), perp, tuple(blocks)
 
 
 def _strictly_triangular(m: np.ndarray) -> bool:
@@ -408,7 +408,7 @@ def _deflated_block(m: np.ndarray, tol: float,
     """
     n = m.shape[0]
     if _strictly_triangular(m):
-        return (Subspace(np.zeros((n, 0), dtype=np.complex128), tol),
+        return (Subspace(np.zeros((n, 0), dtype=np.complex128)),
                 np.eye(n, dtype=np.complex128))
     if norm is None:
         norm = operator_norm(m)
@@ -432,9 +432,9 @@ def _deflated_block(m: np.ndarray, tol: float,
         h, u, blocks = 0, np.eye(n, dtype=np.complex128), m
     c = blocks[h:, h:]
     if _certified_nilpotent(c, tol, norm):
-        return Subspace(np.ascontiguousarray(u[:, :h]), tol), u[:, h:]
+        return Subspace(np.ascontiguousarray(u[:, :h])), u[:, h:]
     rest = _nested_range(c, n - h + 1, tol, norm)
-    return (Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis]), tol),
+    return (Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis])),
             u[:, h:] @ complement(rest).basis)
 
 
@@ -490,10 +490,10 @@ def wold_split(s, n_max: int) -> WoldDecomposition:
             break
         ladder.append(step)
     stack = np.hstack([r.basis for r in ladder])
-    window_sub = _coordinate_subspace(op.window_mask())
+    window_sub = Subspace.coordinates(op.window_mask())
     hyper = intersect(complement(orthonormalize(stack)), window_sub) \
         if wandering.dim else window_sub
-    win = op.window_mask()
+    win = window_sub.mask
     rest = window_sub.basis - hyper.basis @ hyper.basis[win].conj().T \
         - stack @ stack[win].conj().T
     worst = float(np.linalg.norm(rest, axis=0).max()) if rest.size else 0.0
@@ -522,7 +522,7 @@ def cnu_eigenvector_span_residual(s, grid) -> float:
         raise DomainError("square compression required")
     n = op.domain.dim
     hyper = hyper_range(op.matrix)
-    cnu = intersect(complement(hyper), _coordinate_subspace(op.window_mask()))
+    cnu = intersect(complement(hyper), Subspace.coordinates(op.window_mask()))
     pts = list(grid)
     if not pts:
         return 1.0 if cnu.dim else 0.0

@@ -133,12 +133,12 @@ def unitary_part_iterated(t, tol: float = 1e-10) -> Subspace:
     n = m.shape[0]
     eye = np.eye(n)
     cur = intersect(kernel(eye - m.conj().T @ m, tol),
-                    kernel(eye - m @ m.conj().T, tol))
+                    kernel(eye - m @ m.conj().T, tol), tol)
     for _ in range(n + 1):
         if cur.dim == 0:
             break
-        nxt = intersect(cur, _preimage(m, cur, tol))
-        nxt = intersect(nxt, _preimage(m.conj().T, cur, tol))
+        nxt = intersect(cur, _preimage(m, cur, tol), tol)
+        nxt = intersect(nxt, _preimage(m.conj().T, cur, tol), tol)
         if nxt.dim == cur.dim and subspace_distance(nxt, cur) <= tol:
             cur = nxt
             break
@@ -221,7 +221,7 @@ def verdict_battery_projector(p: OperatorPair,
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    h_inf = p.hyper_range_1
+    h_inf = p.split_1.h_inf
     e_sub = intersect(kernel(m1.conj().T), p.probe)
     h_probe = intersect(h_inf, p.probe)
     p_inf = h_inf.projector()
@@ -305,7 +305,7 @@ def model_audits_rungwise(p: OperatorPair) -> dict:
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
-    q = p.hyper_range_1.basis
+    q = p.split_1.h_inf.basis
     if q.shape[1]:
         a = q.conj().T @ m2 @ q
         h_uu = Subspace(q @ hyper_range(a).basis)
@@ -317,7 +317,7 @@ def model_audits_rungwise(p: OperatorPair) -> dict:
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
     f_rungs = _ladder_rungwise(m2, f_wander, p.probe, n) \
         if f_wander.dim else []
-    q_o = complement(p.hyper_range_1).basis
+    q_o = complement(p.split_1.h_inf).basis
     e_wander = Subspace(
         q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
     e_rungs: list = []
@@ -362,7 +362,7 @@ def slocinski_parts_intersect(p: OperatorPair) -> dict:
     hyper-ranges, ``us`` and ``su`` what each hyper-range keeps outside it,
     and ``ss`` the intersection of the two complements.
     """
-    h1 = p.hyper_range_1
+    h1 = p.split_1.h_inf
     h2 = hyper_range(p.s2.matrix)
     h_uu = intersect(h1, h2)
     h_us, h_su = h1, h2

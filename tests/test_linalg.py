@@ -22,7 +22,7 @@ from woldlab.linalg import (
     unitarity_defect,
     zero_subspace,
 )
-from woldlab.pairs import construct_example
+from woldlab.pairs import construct_example, validate_pair, verdict_battery
 from woldlab.symbols import polynomial
 
 
@@ -54,6 +54,26 @@ def test_subspace_rejects_non_orthonormal():
 def test_subspace_rejects_a_nan_basis():
     with pytest.raises(ValidationError, match="orthonormal"):
         Subspace(np.array([[1.0], [np.nan]]))
+
+
+def test_coordinates_keeps_its_mask_beside_the_identity_columns():
+    mask = np.array([True, False, True, True, False])
+    s = Subspace.coordinates(mask)
+    assert np.array_equal(s.mask, mask)
+    assert np.array_equal(s.basis, np.eye(5)[:, mask])
+    assert s.basis.dtype == np.complex128
+    mask[0] = False  # the subspace holds its own copy
+    assert s.mask[0]
+    assert Subspace(s.basis).mask is None
+    assert full_subspace(4).mask.all()
+    assert zero_subspace(4).mask is None
+
+
+def test_a_mask_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Subspace(np.eye(3)[:, :2], mask=np.array([True, True, False]))
+    with pytest.raises(ValidationError, match="1-D"):
+        Subspace.coordinates(np.ones((2, 2), dtype=bool))
 
 
 def test_projector_idempotent_hermitian():
@@ -124,7 +144,7 @@ def test_intersect_property_reads_a_coordinate_subspace_by_its_rows(
     mask = np.zeros(n, dtype=bool)
     mask[rng.choice(n, size=int(rng.integers(max(planted, 1), n - 2)),
                     replace=False)] = True
-    b = Subspace(np.eye(n, dtype=np.complex128)[:, mask])
+    b = Subspace.coordinates(mask)
     inside = np.zeros((n, planted), dtype=np.complex128)
     inside[mask] = rng.normal(size=(b.dim, planted)) \
         + 1j * rng.normal(size=(b.dim, planted))
@@ -144,18 +164,20 @@ def test_intersect_property_reads_a_coordinate_subspace_by_its_rows(
     assert subspace_distance(general, Subspace(u @ got.basis)) <= 1e-12
 
 
-@pytest.mark.parametrize("ratio, kept", [(0.7, 1), (1.4, 0)])
-def test_intersect_coordinate_path_keeps_the_cosine_rule(ratio, kept):
+@pytest.mark.parametrize(
+    "ratio, kept, tol",
+    [(0.7, 1, 1e-10), (1.4, 0, 1e-10), (0.7, 1, 1e-6), (1.4, 0, 1e-6)],
+    ids=["0.7-1", "1.4-0", "0.7-1-1e-06", "1.4-0-1e-06"])
+def test_intersect_coordinate_path_keeps_the_cosine_rule(ratio, kept, tol):
     # a direction at sine ratio * sqrt(2 tol - tol^2) off span(e_0, e_1)
-    tol = 1e-10
     sine = ratio * np.sqrt(2.0 * tol - tol * tol)
     v = np.zeros((4, 1), dtype=np.complex128)
     v[0], v[3] = np.sqrt(1.0 - sine ** 2), sine
-    a = Subspace(v, tol)
-    b = Subspace(np.eye(4, dtype=np.complex128)[:, :2], tol)
+    a = Subspace(v)
+    b = Subspace.coordinates(np.array([True, True, False, False]))
     u = _haar_unitary(np.random.default_rng(9), 4)
-    general = intersect(Subspace(u @ a.basis, tol), Subspace(u @ b.basis, tol))
-    assert intersect(a, b).dim == general.dim == kept
+    general = intersect(Subspace(u @ a.basis), Subspace(u @ b.basis), tol)
+    assert intersect(a, b, tol).dim == general.dim == kept
 
 
 def test_intersect_with_the_full_coordinate_space_returns_a():
@@ -174,14 +196,40 @@ def test_intersect_reads_a_basis_one_ulp_off_the_identity_as_general(
     got = intersect(a, b)
     # the general path takes the SVD of a^H b, not of the rows of a
     assert shapes[0] == (3, 4)
-    want = intersect(a, Subspace(np.eye(7, dtype=np.complex128)[:, :4]))
+    want = intersect(a, Subspace.coordinates(np.arange(7) < 4))
     assert got.dim == want.dim
+    # exact identity columns built by hand carry no mask: general as well,
+    # and with a direction planted in the span the two paths agree
+    rng = np.random.default_rng(8)
+    planted = np.zeros((7, 1), dtype=np.complex128)
+    planted[:4] = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    a = orthonormalize(np.hstack([planted, rng.normal(size=(7, 2))]))
+    shapes.clear()
+    got = intersect(a, Subspace(np.eye(7, dtype=np.complex128)[:, :4]))
+    assert shapes[0] == (3, 4)
+    want = intersect(a, Subspace.coordinates(np.arange(7) < 4))
+    assert got.dim == want.dim == 1
+    assert subspace_distance(got, want) <= 1e-12
+
+
+def test_a_hand_built_identity_probe_gives_the_coordinate_answers():
+    pair = construct_example(polynomial([0.5, 0.5]), 16)
+    plain = Subspace(pair.probe.basis.copy())
+    assert pair.probe.mask is not None and plain.mask is None
+    general = validate_pair(pair.s1, pair.s2, probe=plain)
+    for name in ("commutator_residual", "defect_1", "defect_2"):
+        assert abs(getattr(general, name) - getattr(pair, name)) <= 1e-12
+    got, want = verdict_battery(general), verdict_battery(pair)
+    assert got.e_subspace.dim == want.e_subspace.dim
+    assert subspace_distance(got.e_subspace, want.e_subspace) <= 1e-12
+    for name in ("r_i", "r_ii", "r_iii"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
 
 
 def test_intersect_with_the_example_probe_takes_one_svd_of_the_rows_outside(
         monkeypatch):
     pair = construct_example(polynomial([0.5, 0.5]), 32)
-    h_inf, probe = pair.hyper_range_1, pair.probe
+    h_inf, probe = pair.split_1.h_inf, pair.probe
     shapes = _recording_svd(monkeypatch)
     got = intersect(h_inf, probe)
     assert shapes == [(probe.ambient_dim - probe.dim, h_inf.dim)]

@@ -350,9 +350,9 @@ _BLOCK_PATH_PAIRS = {
 def test_block_path_finds_the_subspaces_of_the_general_path(name):
     pair = _BLOCK_PATH_PAIRS[name]()
     m1, split, probe = pair.s1.matrix, pair.split_1, pair.probe
-    mask = np.any(probe.basis != 0, axis=1)  # the probe's coordinates
+    assert np.array_equal(probe.mask, np.any(probe.basis != 0, axis=1))
     e_sub, h_probe = woldlab.pairs._probed_subspaces(m1.conj().T, split,
-                                                     probe, mask)
+                                                     probe)
     assert len(split.blocks) > 1
     assert np.array_equal(verdict_battery(pair).e_subspace.basis,
                           e_sub.basis)
@@ -535,6 +535,20 @@ def test_slocinski_splits_four_block_sum_exactly():
     assert dec.double_commutation_residual <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_slocinski_constant_symbols_read_the_constant_unitaries(seed):
+    pair, expected = four_block_pair(seed, f_degree=10, g_degree=10,
+                                     bidegree=8)
+    consts = slocinski(pair).constant_symbols
+    assert consts["uu"] is None and consts["ss"] is None
+    # S1 is exp(i alpha) on the us block, S2 is exp(i beta) on the su block
+    us, su = expected["uu"], expected["uu"] + expected["us"]
+    assert consts["us"].shape == consts["su"].shape == (1, 1)
+    assert abs(consts["us"][0, 0] - pair.s1.matrix[us, us]) <= 1e-12
+    assert abs(consts["su"][0, 0] - pair.s2.matrix[su, su]) <= 1e-12
+    assert abs(abs(consts["us"][0, 0]) - 1.0) <= 1e-12
+
+
 def test_reducing_residual_matches_complement_oracle_on_every_part():
     pair, _ = four_block_pair(2)
     for sub in slocinski(pair).parts.values():
@@ -612,7 +626,7 @@ def test_slocinski_matches_intersect_oracle(name):
 
 def test_slocinski_reads_the_two_halves_at_working_size(monkeypatch):
     pair, _ = four_block_pair(2)
-    n, h = pair.space.dim, pair.hyper_range_1.dim  # cached before counting
+    n, h = pair.space.dim, pair.split_1.h_inf.dim  # cached before counting
     real_range, real_intersect = (woldlab.pairs.hyper_range,
                                   woldlab.pairs.intersect)
     shapes, intersections = [], []
@@ -672,7 +686,7 @@ def test_finiteness_checks_count_three_part_invariants():
 
 def test_finiteness_checks_of_tensor_pair_count_an_empty_hyper_range():
     pair = tensor_shift_pair(5, 5)
-    assert pair.hyper_range_1.dim == 0
+    assert pair.split_1.h_inf.dim == 0
     rep = finiteness_checks(pair)
     assert (rep.dim_a, rep.dim_b, rep.spectrum_card) == (0, 0, 0)
     assert rep.verdict and rep.r_iii == 0.0
@@ -740,7 +754,7 @@ def test_pair_computes_its_first_hyper_range_once(monkeypatch):
         except PreconditionError:
             pass  # the three-part pair is not doubly commuting
         assert splits == [(n, n)]
-        assert 0 < pair.hyper_range_1.dim < n
+        assert 0 < pair.split_1.h_inf.dim < n
         assert ranges and all(shape[0] < n for shape in ranges)
         assert all(ambient < n for ambient in complements)
 
@@ -791,7 +805,7 @@ def test_pair_computes_its_first_unitary_part_once(monkeypatch):
     monkeypatch.setattr(woldlab.pairs, "unitary_part", counting)
     finiteness_checks(pair)
     ps = point_spectrum_part(pair)
-    h = pair.hyper_range_1.dim
+    h = pair.split_1.h_inf.dim
     assert 0 < h < pair.space.dim
     assert calls == [(h, h)]
     assert ps.subspace.dim == pair.unitary_part_1.unitary_part.dim
@@ -842,7 +856,7 @@ def test_unitary_part_of_the_split_matches_the_full_size_oracle(name):
     split = pair.split_1
     assert split.h_inf.dim + split.h_perp.dim == n
     assert subspace_distance(split.h_perp,
-                             complement(pair.hyper_range_1)) <= 1e-12
+                             complement(pair.split_1.h_inf)) <= 1e-12
 
 
 def _schur_polynomial(seed, degree):
@@ -890,7 +904,7 @@ def test_battery_property_projected_wandering_image_is_bounded_by_red_in(
     """
     pair = _only_if_pair(case)
     rep = verdict_battery(pair)
-    red_in = reducing_residual(pair.s2.matrix, pair.hyper_range_1)[1]
+    red_in = reducing_residual(pair.s2.matrix, pair.split_1.h_inf)[1]
     assert rep.r_iii <= red_in + 1e-12
 
 

@@ -200,6 +200,22 @@ def test_unitary_part_property_commutes_with_unitary_conjugation(case, qseed):
     assert subspace_distance(moved, Subspace(q @ base.basis)) <= 1e-10
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_unitary_part_cuts_its_first_intersection_at_its_own_tol(
+        monkeypatch, tol):
+    seen = []
+    real = wold.intersect
+
+    def recording(a, b, tol=1e-10):
+        seen.append(tol)
+        return real(a, b, tol)
+
+    monkeypatch.setattr(wold, "intersect", recording)
+    dec = unitary_part(_planted(3, 5, 2, 0.5), tol=tol)
+    assert seen == [tol]
+    assert dec.unitary_part.dim == 2
+
+
 def test_unitary_part_of_strict_contraction_is_trivial():
     dec = unitary_part(np.array([[0.5]]))
     assert dec.unitary_part.dim == 0
@@ -405,14 +421,14 @@ def test_nilpotency_ladder_certifies_only_what_it_can(name):
 def _model_compression():
     # the n x n form P S2 P of the compression model_decomposition reads
     p = three_part_pair(7, degree=64)[0]
-    p_inf = p.hyper_range_1.projector()
+    p_inf = p.split_1.h_inf.projector()
     return p_inf @ p.s2.matrix @ p_inf
 
 
 def _model_compression_working_size():
     # the operator model_decomposition hands to hyper_range, Q^H S2 Q
     p = three_part_pair(7, degree=64)[0]
-    q = p.hyper_range_1.basis
+    q = p.split_1.h_inf.basis
     return q.conj().T @ p.s2.matrix @ q
 
 
