@@ -44,7 +44,7 @@ DEFAULT_TOLERANCES = {
     "unitarity": 1e-8,
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run configuration with defaults applied."""
 

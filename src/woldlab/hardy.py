@@ -89,7 +89,7 @@ def direct_sum(*spaces: TruncatedSpace) -> tuple[TruncatedSpace, list[slice]]:
     return TruncatedSpace(dim=at, coordinate_degrees=tuple(degs)), slices
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedOperator:
     """Matrix between truncated spaces plus its exactness bookkeeping.
 

@@ -55,7 +55,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n held as an orthonormal column basis.
 
@@ -167,7 +167,8 @@ def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
     if b.mask is not None:
-        return Subspace(_within_mask(a.basis, b.mask, tol))
+        coef = _mask_coefficients(a.basis, b.mask, tol)
+        return Subspace(a.basis if coef is None else a.basis @ coef)
     u, s, _ = np.linalg.svd(a.basis.conj().T @ b.basis)
     k = int(np.sum(s >= 1.0 - tol))
     if k == 0:
@@ -175,27 +176,28 @@ def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     return orthonormalize(a.basis @ u[:, :k], tol)
 
 
-def _within_mask(basis: np.ndarray, mask: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """Basis of ``span(basis) & span(e_mask)`` for orthonormal ``basis``.
+def _mask_coefficients(basis: np.ndarray, mask: np.ndarray,
+                       tol: float) -> np.ndarray | None:
+    """Coefficients ``W`` with ``basis @ W`` a basis of
+    ``span(basis) & span(e_mask)``, for orthonormal ``basis``.
 
-    The rule of ``intersect`` for a coordinate subspace: ``basis`` times
-    the right singular vectors of its rows outside the mask whose sine is
-    at most ``sqrt(2 tol - tol^2)``. The cut is absolute, so the rule
-    applies to the diagonal blocks of a block-sparse basis one at a time.
-    A basis with no row outside the mask (or no column) is kept whole,
-    and one with no row inside it has all sines 1 and keeps nothing, with
-    no SVD.
+    The rule of ``intersect`` for a coordinate subspace: the right singular
+    vectors of the rows of ``basis`` outside the mask whose sine is at
+    most ``sqrt(2 tol - tol^2)``. The cut is absolute, so the rule applies
+    to the diagonal blocks of a block-sparse basis one at a time. A basis
+    with no row outside the mask (or no column) is kept whole, given as
+    None, and one with no row inside it has all sines 1 and keeps nothing;
+    neither takes an SVD.
     """
     if mask.all() or not basis.shape[1]:
-        return basis
+        return None
     if not mask.any():
-        return basis[:, :0]
+        return np.zeros((basis.shape[1], 0), dtype=basis.dtype)
     outside = basis[~mask]
     _, s, vh = np.linalg.svd(
         outside, full_matrices=outside.shape[0] < outside.shape[1])
     dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))
-    return basis @ vh[dropped:].conj().T
+    return vh[dropped:].conj().T
 
 
 def complement(s: Subspace) -> Subspace:

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockModel:
     """Stationary boundary system extracted from a weighted pair.
 
@@ -54,7 +54,7 @@ class BlockModel:
     boundary_degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForcingReport:
     """Outcome of fitting a defect weight by masses on finite atoms."""
 

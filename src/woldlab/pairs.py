@@ -55,7 +55,7 @@ from .linalg import (
     Subspace,
     _block_kernels,
     _times_basis,
-    _within_mask,
+    _mask_coefficients,
     complement,
     gram_defect,
     intersect,
@@ -70,8 +70,9 @@ from .linalg import (
     zero_subspace,
 )
 from .symbols import SchurSymbol, blaschke, defect_weight
-from .wold import (CanonicalDecomposition, as_graded, hyper_range,
-                   hyper_range_split, unitary_part, wandering_subspace)
+from .wold import (CanonicalDecomposition, _block_slices, as_graded,
+                   hyper_range, hyper_range_split, unitary_part,
+                   wandering_subspace)
 
 __all__ = [
     "OperatorPair",
@@ -103,7 +104,7 @@ _BOUNDARY_DEGREE = 2
 _N_LEVELS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExampleAssembly:
     """Raw ingredients of the weighted-boundary pair.
 
@@ -123,7 +124,7 @@ class ExampleAssembly:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperRangeSplit:
     """The space split by the hyper-range ``H`` of the first operator.
 
@@ -145,7 +146,7 @@ class HyperRangeSplit:
     blocks: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """Validated commuting pair with its trust region and residuals.
 
@@ -157,12 +158,17 @@ class OperatorPair:
     norms of ``(S1 S2 - S2 S1) P`` and of the Gram defects of ``S1 P`` and
     ``S2 P`` for the probe basis ``P``; each is computed on first read.
 
+    ``s1_blocks`` are the row slices of the finest exact diagonal blocks of
+    the first operator, found once per pair: validation with a coordinate
+    probe reads them, and the split reuses them.
+
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
     (``split_1``): the bases ``Q`` of ``H`` and ``Q_perp`` of ``H^perp``,
-    ``S2 Q`` and ``A2 = Q^H S2 Q``. The unitary part of the first operator
-    lies in ``H``, so it is found on the compression ``Q^H S1 Q`` and
-    lifted by ``Q``.
+    ``S2 Q`` and ``A2 = Q^H S2 Q``, both formed block by block over the
+    columns of ``Q`` each diagonal block owns. The unitary part of the
+    first operator lies in ``H``, so it is found on the compression
+    ``Q^H S1 Q`` and lifted by ``Q``.
     """
 
     s1: GradedOperator
@@ -185,13 +191,24 @@ class OperatorPair:
         return gram_defect(_times_basis(self.s2.matrix, self.probe))
 
     @cached_property
+    def s1_blocks(self) -> tuple:
+        return _block_slices(self.s1.matrix)
+
+    @cached_property
     def split_1(self) -> HyperRangeSplit:
         """Split by the first operator's hyper-range, computed once."""
-        h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix)
-        q = h_inf.basis
-        s2q = self.s2.matrix @ q
-        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
-                               a2=q.conj().T @ s2q, blocks=blocks)
+        h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix,
+                                                  _slices=self.s1_blocks)
+        q, m2 = h_inf.basis, self.s2.matrix
+        # block k's columns of Q are zero outside its rows
+        s2q = np.empty((m2.shape[0], q.shape[1]), dtype=np.complex128)
+        a2 = np.empty((q.shape[1], q.shape[1]), dtype=np.complex128)
+        for rows, cols in blocks:
+            s2q[:, cols] = m2[:, rows] @ q[rows, cols]
+        for rows, cols in blocks:
+            a2[cols] = q[rows, cols].conj().T @ s2q[rows]
+        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q, a2=a2,
+                               blocks=blocks)
 
     @cached_property
     def unitary_part_1(self) -> CanonicalDecomposition:
@@ -221,7 +238,7 @@ class OperatorPair:
         return verdict_battery(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BatteryTail:
     """The arrays ``r_iv`` and ``r_v`` read, and the seed of the samples.
 
@@ -239,7 +256,7 @@ class _BatteryTail:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerdictReport:
     """Residuals of the equivalent orthogonality formulations.
 
@@ -319,7 +336,7 @@ class VerdictReport:
         return r_v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelDecomposition:
     """Three-part structure of a verdict-true pair.
 
@@ -346,7 +363,7 @@ class ModelDecomposition:
     e_ladder_dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlocinskiDecomposition:
     """Four jointly reducing parts of a doubly commuting pair."""
 
@@ -360,7 +377,7 @@ class SlocinskiDecomposition:
     double_commutation_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSpectrumPart:
     """Orthogonal sum of unimodular eigenspaces of the first operator."""
 
@@ -404,6 +421,16 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     raises; a non-finite entry never passes. The returned pair computes
     its three residuals on first read.
 
+    With a coordinate probe, the first operator's exact diagonal blocks
+    are found here, once per pair (``OperatorPair.s1_blocks``, which the
+    split reuses). The probe's columns inside a block meet ``S1`` only in
+    that block, so ``S1 P`` is block diagonal with blocks
+    ``B_k = S1[k, k][:, mask_k]``: its Gram bound is summed over the
+    blocks, ``S1 (S2 P)`` is formed by block rows and ``S2 (S1 P)`` by
+    blocks of columns, ``S2[:, k] B_k``. A first operator of one block,
+    or a probe without a mask (read as one block), takes the dense
+    products.
+
     Raises
     ------
     DimensionError
@@ -433,19 +460,28 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
         )
     pair = OperatorPair(s1=a, s2=b, space=a.domain, probe=probe,
                         assembly=assembly)
-    eye = np.eye(probe.dim)
-    img1, img2 = _times_basis(a.matrix, probe), _times_basis(b.matrix, probe)
-    for name, img, exact in (("first", img1, "defect_1"),
-                             ("second", img2, "defect_2")):
+    m1, m2 = a.matrix, b.matrix
+    img2 = _times_basis(m2, probe)
+    # S1 P is block diagonal over S1's blocks when P is a coordinate probe
+    slices = pair.s1_blocks if probe.mask is not None else (slice(None),)
+    s1p = [_times_basis(m1, probe)] if len(slices) == 1 else \
+        [m1[sl, sl][:, probe.mask[sl]] for sl in slices]
+    gram_1 = np.sqrt(sum(np.linalg.norm(blk.conj().T @ blk
+                                        - np.eye(blk.shape[1])) ** 2
+                         for blk in s1p))
+    gram_2 = np.linalg.norm(img2.conj().T @ img2 - np.eye(probe.dim))
+    commutator = np.linalg.norm(
+        np.vstack([m1[sl, sl] @ img2[sl] for sl in slices])
+        - np.hstack([m2[:, sl] @ blk for sl, blk in zip(slices, s1p)]))
+    for name, bound, exact in (("first", gram_1, "defect_1"),
+                               ("second", gram_2, "defect_2")):
         # "not <=" so that a NaN bound or residual is refused
-        if not np.linalg.norm(img.conj().T @ img - eye) <= 1e-8 \
-                and not getattr(pair, exact) <= 1e-8:
+        if not bound <= 1e-8 and not getattr(pair, exact) <= 1e-8:
             raise DomainError(
                 f"{name} operator is not isometric on the probe: "
                 f"defect {getattr(pair, exact):.3e}"
             )
-    if not np.linalg.norm(a.matrix @ img2 - b.matrix @ img1) <= 1e-8 \
-            and not pair.commutator_residual <= 1e-8:
+    if not commutator <= 1e-8 and not pair.commutator_residual <= 1e-8:
         raise DomainError("operators do not commute: residual "
                           f"{pair.commutator_residual:.3e}")
     return pair
@@ -549,7 +585,7 @@ def _level_caps(top: int, n_levels: int) -> list:
 
 
 def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
-                      probe: Subspace) -> tuple[Subspace, Subspace]:
+                      probe: Subspace) -> tuple[Subspace, Subspace, list]:
     """``E = ker(S1^H P)`` on the probe, and ``H & probe``, block by block.
 
     For a probe built by ``Subspace.coordinates``, ``span(e_mask)`` with
@@ -560,21 +596,59 @@ def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
     rank is cut at the largest block's top singular value, ``kernel``'s
     rule for the whole matrix; the intersections' sine cut is absolute.
     The bases are lifted by rows.
+
+    The third value is the block-sparse ``W`` with ``H & probe = Q W``, one
+    entry per block: the coefficients ``W_k`` with block ``k``'s columns
+    ``Q[:, cols] W_k``, or None where the block is kept whole.
     """
     n, mask = m1h.shape[0], probe.mask
     q = split.h_inf.basis
     kernels = _block_kernels([m1h[rows, rows][:, mask[rows]]
                               for rows, _ in split.blocks], DEFAULT_TOL)
-    e_cols, h_cols = [], []
+    e_cols, h_cols, coefs = [], [], []
     for (rows, cols), kern in zip(split.blocks, kernels):
         e = np.zeros((n, kern.shape[1]), dtype=np.complex128)
         e[rows.start + np.flatnonzero(mask[rows])] = kern
         e_cols.append(e)
-        part = _within_mask(q[rows, cols], mask[rows], DEFAULT_TOL)
+        coef = _mask_coefficients(q[rows, cols], mask[rows], DEFAULT_TOL)
+        part = q[rows, cols] if coef is None else q[rows, cols] @ coef
         h = np.zeros((n, part.shape[1]), dtype=np.complex128)
         h[rows] = part
         h_cols.append(h)
-    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols))
+        coefs.append(coef)
+    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols)), coefs
+
+
+def _probed_image_defects(m1h: np.ndarray, m2: np.ndarray,
+                          split: HyperRangeSplit, x: Subspace,
+                          coefs: list) -> tuple[float, float]:
+    """The battery's ``iso`` and ``dc`` on ``X = H & probe = Q W``, block
+    by block; ``coefs`` is the ``W`` of ``_probed_subspaces``.
+
+    ``S2 X = (S2 Q) W`` and ``Q^H S2 X = A2 W`` are read off the split, a
+    column selection for a block kept whole. ``S1^H`` is block diagonal,
+    so ``S1^H (S2 X)`` is formed by block rows, and ``S1^H X``, whose
+    block ``k`` columns live in block ``k``'s rows, by blocks, as is
+    ``S2 (S1^H X)``, one block of columns ``S2[:, rows] (S1^H X)_k`` each.
+    """
+    if not x.dim:
+        return 0.0, 0.0
+    images, compressed, swapped = [], [], []
+    at = 0
+    for (rows, cols), coef in zip(split.blocks, coefs):
+        image, comp = split.s2q[:, cols], split.a2[:, cols]
+        if coef is not None:
+            image, comp = image @ coef, comp @ coef
+        part = x.basis[rows, at:at + image.shape[1]]
+        at += image.shape[1]
+        images.append(image)
+        compressed.append(comp)
+        swapped.append(m2[:, rows] @ (m1h[rows, rows] @ part))
+    image = np.hstack(images)
+    adjoint = np.vstack([m1h[rows, rows] @ image[rows]
+                         for rows, _ in split.blocks])
+    return (gram_defect(np.hstack(compressed)),
+            operator_norm(adjoint - np.hstack(swapped)))
 
 
 def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
@@ -610,6 +684,14 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     ``n - dim H`` columns, which keeps the singular values. A probe ``P``
     that carries its mask is applied to ``S1^H`` by column selection.
 
+    On the block path, ``iso`` and ``dc`` read ``X = H & probe`` as
+    ``Q W``, with the block-sparse ``W`` the intersections give: ``S2 X``
+    and ``Q^H S2 X`` are ``(S2 Q) W`` and ``A2 W`` off the split (a column
+    selection for a block kept whole), and ``S1^H (S2 X)``, ``S1^H X`` and
+    ``S2 (S1^H X)`` are formed block by block; for one block these are
+    the dense products. A probe without a mask takes ``S2 X`` and the
+    products with ``S1^H`` whole.
+
     Nothing the verdict reads needs ``r_iv``, ``r_v`` or their Krylov
     stacks, so the report computes them on first read, from arrays it
     holds (never the pair), with the same samples and the same values.
@@ -619,19 +701,23 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     split = p.split_1
     h_inf = split.h_inf
     q, q_perp = h_inf.basis, split.h_perp.basis
+    coefs = None
     if p.probe.mask is None:
         wandering = kernel(_times_basis(m1h, p.probe))
         e_sub = Subspace(p.probe.basis @ wandering.basis)
         h_probe = intersect(h_inf, p.probe)
     else:
-        e_sub, h_probe = _probed_subspaces(m1h, split, p.probe)
+        e_sub, h_probe, coefs = _probed_subspaces(m1h, split, p.probe)
     cross = q.conj().T @ (m2 @ q_perp)
     red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
-    image = m2 @ h_probe.basis
-    iso = gram_defect(q.conj().T @ image)
-    dc = operator_norm(m1h @ image - m2 @ (m1h @ h_probe.basis)) \
-        if h_probe.dim else 0.0
+    if coefs is None:
+        image = m2 @ h_probe.basis
+        iso = gram_defect(q.conj().T @ image)
+        dc = operator_norm(m1h @ image - m2 @ (m1h @ h_probe.basis)) \
+            if h_probe.dim else 0.0
+    else:
+        iso, dc = _probed_image_defects(m1h, m2, split, h_probe, coefs)
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0

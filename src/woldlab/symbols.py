@@ -40,7 +40,7 @@ __all__ = [
 TAIL_TARGET = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurSymbol:
     """Immutable symbol description.
 
@@ -259,7 +259,7 @@ def is_inner(sym: SchurSymbol, n_samples: int = 512,
     return (dev <= tol, dev)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Two-sided sequence indexed by k = -k_max..k_max."""
 

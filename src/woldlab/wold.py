@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalDecomposition:
     """Split of a contraction into unitary and completely nonunitary parts.
 
@@ -67,7 +67,7 @@ class CanonicalDecomposition:
     unitarity_defect: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WoldDecomposition:
     """Wandering-subspace ladder of an isometric window.
 
@@ -206,7 +206,8 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     The anchor stays global: ``||T||`` in every cut and guard below is the
     largest block norm, the norm of the whole matrix, so a block far below
     it (the ``1e-11`` of ``diag(1, 1e-11)``) is cut as it would be inside
-    the whole matrix. A matrix of one block is deflated whole.
+    the whole matrix. A matrix of one block is deflated whole. Blocks
+    with equal bytes are normed and deflated once.
 
     A block that is exactly strictly lower or strictly upper triangular
     (a truncated shift, or its adjoint) is nilpotent, so its hyper-range
@@ -262,11 +263,12 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    return _deflated_range(m, tol)[0]
+    return _deflated_range(m, tol, _block_slices(m))[0]
 
 
-def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace,
-                                                     tuple]:
+def hyper_range_split(t, tol: float = 1e-10, *,
+                      _slices: tuple | None = None) -> tuple[Subspace,
+                                                             Subspace, tuple]:
     """Hyper-range of a square matrix, its orthogonal complement, and the
     diagonal blocks the deflation cut.
 
@@ -276,18 +278,27 @@ def hyper_range_split(t, tol: float = 1e-10) -> tuple[Subspace, Subspace,
     block is strictly triangular or the guess is rejected),
     lifted by the complement of the nested remainder when the nested
     iteration runs. So the split costs one hyper-range, where
-    ``complement(hyper_range(t))`` adds a full n x n SVD.
+    ``complement(hyper_range(t))`` adds a full n x n SVD. Bitwise equal
+    diagonal blocks (the three copies of the boundary unitary in the
+    weighted-boundary pair's first operator) are deflated once, at the
+    one global anchor, so the split is the one a deflation of every block
+    in turn gives.
 
     The third value lists the finest exact diagonal blocks of ``T`` in
     order, one ``(rows, cols)`` pair of slices each: the block is
     ``T[rows, rows]``, and the hyper-range basis is zero outside the
     rectangles ``[rows, cols]``, so block ``k`` owns columns ``cols`` of
     it. A matrix of one block gives ``((slice(0, n), slice(0, h)),)``.
+
+    ``_slices`` is for a caller that already holds ``_block_slices(t)``
+    (a validated pair finds its first operator's blocks once); the matrix
+    is not cut again.
     """
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    h_inf, perp, blocks = _deflated_range(m, tol)
+    h_inf, perp, blocks = _deflated_range(
+        m, tol, _block_slices(m) if _slices is None else _slices)
     return h_inf, Subspace(np.ascontiguousarray(perp)), blocks
 
 
@@ -363,23 +374,42 @@ def _diagonal_blocks(m: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.maximum.accumulate(farthest) == idx)
 
 
-def _deflated_range(m: np.ndarray,
-                    tol: float) -> tuple[Subspace, np.ndarray, tuple]:
+def _block_slices(m: np.ndarray) -> tuple:
+    """Row slices of the finest exact diagonal blocks of ``m``, in order.
+
+    A matrix with no such split (the empty matrix included) is one block,
+    ``(slice(0, n),)``.
+    """
+    ends = _diagonal_blocks(m)
+    if ends.size <= 1:
+        return (slice(0, m.shape[0]),)
+    return tuple(slice(int(a), int(b) + 1)
+                 for a, b in zip(np.r_[0, ends[:-1] + 1], ends))
+
+
+def _deflated_range(m: np.ndarray, tol: float,
+                    slices: tuple) -> tuple[Subspace, np.ndarray, tuple]:
     """Hyper-range of a plain matrix by deflation, with a basis of its
     orthogonal complement and the blocks; see ``hyper_range_split``.
 
-    An exactly block-diagonal matrix is deflated block by block, every cut
-    anchored at the largest block norm, and the bases are lifted by rows.
+    ``slices`` are ``_block_slices(m)``. A block-diagonal matrix is
+    deflated block by block, every cut anchored at the largest block norm,
+    and the bases are lifted by rows. Blocks with equal bytes are equal
+    matrices, so each distinct block is normed and deflated once.
     """
     n = m.shape[0]
-    ends = _diagonal_blocks(m)
-    if ends.size <= 1:
+    if len(slices) == 1:
         h_inf, perp = _deflated_block(m, tol, None)
         return h_inf, perp, ((slice(0, n), slice(0, h_inf.dim)),)
-    slices = [slice(int(a), int(b) + 1)
-              for a, b in zip(np.r_[0, ends[:-1] + 1], ends)]
-    norm = max(operator_norm(m[sl, sl]) for sl in slices)
-    splits = [_deflated_block(m[sl, sl], tol, norm) for sl in slices]
+    keys = [m[sl, sl].tobytes() for sl in slices]
+    # the first block of each kind, in order of first appearance
+    distinct = {}
+    for key, sl in zip(keys, slices):
+        distinct.setdefault(key, m[sl, sl])
+    norm = max(operator_norm(block) for block in distinct.values())
+    deflated = {key: _deflated_block(block, tol, norm)
+                for key, block in distinct.items()}
+    splits = [deflated[key] for key in keys]
     h_inf = np.zeros((n, sum(h.dim for h, _ in splits)), dtype=np.complex128)
     perp = np.zeros((n, n - h_inf.shape[1]), dtype=np.complex128)
     blocks = []

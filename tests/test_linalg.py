@@ -364,3 +364,17 @@ def test_unimodular_clusters_merge_across_the_branch_cut():
     assert groups == [[2, 0], [1, 3], [4]]
     assert unimodular_clusters(vals, 1e-12) == [[2], [1], [3], [4], [0]]
     assert unimodular_clusters(np.zeros(0), 1e-8) == []
+
+
+def test_subspaces_and_pairs_compare_and_hash_by_identity():
+    # a generated __eq__ would compare the bases and raise on the array's
+    # truth value; identity comparison never reads them
+    s = full_subspace(3)
+    assert s == s
+    assert full_subspace(3) != full_subspace(3)
+    assert (Subspace(np.eye(2)) == Subspace(np.eye(2))) is False
+    pair = construct_example(polynomial([0.5, 0.5]), 8)
+    assert pair == pair and pair in {pair}
+    assert {s: 1}[s] == 1
+    assert hash(pair.split_1) == hash(pair.split_1)
+    assert len({hash(s), hash(pair), hash(pair.split_1.h_inf)}) == 3

@@ -351,8 +351,8 @@ def test_block_path_finds_the_subspaces_of_the_general_path(name):
     pair = _BLOCK_PATH_PAIRS[name]()
     m1, split, probe = pair.s1.matrix, pair.split_1, pair.probe
     assert np.array_equal(probe.mask, np.any(probe.basis != 0, axis=1))
-    e_sub, h_probe = woldlab.pairs._probed_subspaces(m1.conj().T, split,
-                                                     probe)
+    e_sub, h_probe, _ = woldlab.pairs._probed_subspaces(m1.conj().T,
+                                                        split, probe)
     assert len(split.blocks) > 1
     assert np.array_equal(verdict_battery(pair).e_subspace.basis,
                           e_sub.basis)
@@ -436,6 +436,88 @@ def test_validate_pair_failures_name_the_exact_operator_norm():
         validate_pair(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5]))
     assert str(info.value) == \
         "second operator is not isometric on the probe: defect 7.500e-01"
+
+
+def _block_sum_operators(rng, defect: float, twist: bool):
+    """Commuting block sums over three diagonal blocks of ``S1``; the last
+    block of ``S1`` is ``(1 + defect)`` times a unitary, and with ``twist``
+    the last block of ``S2`` is a unitary that does not commute with it."""
+    u, v, w = (_random_unitary(rng, k) for k in (3, 3, 2))
+    last = _random_unitary(rng, 2) if twist else w
+    return (block_diag(u, v, (1.0 + defect) * w),
+            block_diag(u @ u, v.conj().T, last))
+
+
+@pytest.mark.parametrize("defect, twist", [(1e-6, False), (0.0, True)],
+                         ids=["isometry-defect", "commutator"])
+def test_validate_pair_refuses_a_defect_in_the_last_block_only(defect,
+                                                              twist):
+    # the block-by-block bounds must read the last block too; the message
+    # carries the exact operator norm, not the Frobenius bound
+    s1, s2 = _block_sum_operators(np.random.default_rng(8), defect, twist)
+    assert len(woldlab.wold._block_slices(s1)) == 3
+    if twist:
+        want = "operators do not commute: residual " \
+            f"{operator_norm(s1 @ s2 - s2 @ s1):.3e}"
+    else:
+        want = "first operator is not isometric on the probe: defect " \
+            f"{gram_defect(s1):.3e}"
+    with pytest.raises(DomainError) as info:
+        validate_pair(s1, s2)
+    assert str(info.value) == want
+    # and the same pair without the defect passes
+    validate_pair(*_block_sum_operators(np.random.default_rng(8), 0.0, False))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_example(polynomial([0.5, 0.5]), 24),
+    lambda: four_block_pair(2)[0],
+    lambda: three_part_pair(2, degree=30)[0],
+    lambda: tensor_shift_pair(5, 5),
+], ids=["example", "four-block", "three-part", "tensor"])
+def test_a_pair_finds_its_first_operator_blocks_once(make, monkeypatch):
+    calls = []
+    real = woldlab.wold._diagonal_blocks
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(woldlab.wold, "_diagonal_blocks", counting)
+    pair = make()
+    verdict_battery(pair)
+    n = pair.space.dim
+    assert calls == [(n, n)]
+
+
+def _partially_probed_pair():
+    # the unitary block's hyper-range meets the probe in two of its three
+    # coordinates, so its intersection takes coefficients, not the block
+    s1 = block_diag(_random_unitary(np.random.default_rng(9), 3),
+                    compress(shift(1, 4)).matrix)
+    mask = np.array([True, True, False] + [True] * 4 + [False])
+    return validate_pair(s1, np.eye(8), Subspace.coordinates(mask))
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_PATH_PAIRS) + ["partial"])
+def test_block_path_iso_and_dc_match_the_dense_products(name):
+    pair = _partially_probed_pair() if name == "partial" \
+        else _BLOCK_PATH_PAIRS[name]()
+    m1h, m2, split = pair.s1.matrix.conj().T, pair.s2.matrix, pair.split_1
+    _, h_probe, coefs = woldlab.pairs._probed_subspaces(m1h, split,
+                                                        pair.probe)
+    kinds = {"whole" if c is None else "empty" if not c.shape[1]
+             else "coefficients" for c in coefs}
+    assert ("coefficients" in kinds) == (name == "partial")
+    x, q = h_probe.basis, split.h_inf.basis
+    image = m2 @ x
+    want = (gram_defect(q.conj().T @ image),
+            operator_norm(m1h @ image - m2 @ (m1h @ x)))
+    got = woldlab.pairs._probed_image_defects(m1h, m2, split, h_probe, coefs)
+    assert h_probe.dim > 0
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+    rep = verdict_battery(pair)
+    assert rep.r_i - rep.r_ii == pytest.approx(want[0] - want[1], abs=1e-14)
 
 
 def test_model_decomposition_requires_true_verdict():

@@ -32,7 +32,8 @@ def test_a_tree_compared_with_itself_differs_nowhere():
         ["boundary.csv", "boundary.csv", "decay.csv", "report.json",
          "report.json"]
     assert all(f.endswith("max relative difference 0") for f in files)
-    assert lines[-1] == "0 failing line(s)"
+    assert lines[-1] == \
+        "0 failing line(s); largest relative difference 0 over 5 files"
 
 
 def test_numbers_differ_relatively_and_anything_else_mismatches():

@@ -529,9 +529,11 @@ def test_block_split_lists_the_blocks_that_own_the_basis(name):
 
 
 @pytest.mark.parametrize("make, sizes", [
+    # one call per distinct block: the boundary unitary's three copies
+    # are one, and so are four-block's seven equal 1 x 1 blocks
     (lambda: construct_example(polynomial([0.5, 0.5]), 48).s1.matrix,
-     [49, 49, 49, 54]),
-    (lambda: four_block_pair(0)[0].s1.matrix, [2] + [1] * 7 + [7, 36]),
+     [49, 54]),
+    (lambda: four_block_pair(0)[0].s1.matrix, [2, 1, 7, 36]),
     (_BLOCK_SPLIT_INPUTS["zero-between-blocks"], [2, 1, 2]),
     (_BLOCK_SPLIT_INPUTS["tiny-direction"], [1, 1]),
     (lambda: three_part_pair(0)[0].s1.matrix, [116]),
@@ -561,6 +563,27 @@ def test_block_split_deflates_each_block_at_the_largest_block_norm(
     norms = {norm for _, norm in calls}
     assert len(norms) == 1
     assert norms.pop() == pytest.approx(np.linalg.norm(t, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_example(polynomial([0.5, 0.5]), 48).s1.matrix,
+    lambda: four_block_pair(0)[0].s1.matrix,
+], ids=["polynomial-48", "four-block"])
+def test_equal_blocks_deflated_once_give_the_blockwise_split_bitwise(make):
+    t = make()
+    slices = wold._block_slices(t)
+    norm = max(wold.operator_norm(t[sl, sl]) for sl in slices)
+    # every block deflated in turn at the global norm, lifted by rows
+    splits = [wold._deflated_block(t[sl, sl], 1e-10, norm) for sl in slices]
+    assert len({t[sl, sl].tobytes() for sl in slices}) < len(slices)
+    want_h = sla.block_diag(*(h.basis for h, _ in splits))
+    want_perp = sla.block_diag(*(p for _, p in splits))
+    h_inf, perp, blocks = wold.hyper_range_split(t)
+    assert np.array_equal(h_inf.basis, want_h)
+    assert np.array_equal(perp.basis, want_perp)
+    assert [rows for rows, _ in blocks] == list(slices)
+    assert [cols.stop - cols.start for _, cols in blocks] == \
+        [h.dim for h, _ in splits]
 
 
 _TRIANGULAR_INPUTS = {

@@ -11,7 +11,9 @@ one line per output file: the largest relative difference of its numbers,
 dropped from ``report.json``, and a line per run saying whether exit
 codes, stdout and stderr agree. Any other difference (a string, a
 boolean, a key, a file present on one side only) is a mismatch. The
-runs happen in a temporary directory, removed afterwards.
+last line sums up: ``N failing line(s); largest relative difference D
+over F files``, D being the largest difference over the F files
+compared. The runs happen in a temporary directory, removed afterwards.
 
 Exit status 0 when nothing mismatches and no difference exceeds ``TOL``
 (1e-14); 1 otherwise.
@@ -118,9 +120,11 @@ def _run(tree: str, work: str, command: str, config: dict) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def compare(old: str, new: str, cases, commands, work: str) -> int:
-    """Print the comparison table; return the number of failing lines."""
-    failures = 0
+def compare(old: str, new: str, cases, commands,
+            work: str) -> tuple[int, float, int]:
+    """Print the comparison table; return the number of failing lines,
+    the largest relative difference and the number of files compared."""
+    failures, largest, files = 0, 0.0, 0
     for case in cases:
         for command in commands:
             runs = [_run(tree, os.path.join(work, side, case, command),
@@ -137,18 +141,20 @@ def compare(old: str, new: str, cases, commands, work: str) -> int:
             names = [sorted(os.listdir(d)) if os.path.isdir(d) else []
                      for d in outs]
             for name in sorted(set(names[0]) | set(names[1])):
+                files += 1
                 try:
                     if name not in names[0] or name not in names[1]:
                         raise Mismatch("present on one side only")
                     d = _diff(*(_load(os.path.join(o, name)) for o in outs),
                               name)
                     ok = d <= TOL
+                    largest = max(largest, d)
                     print(f"  {name}: max relative difference {d:.3g}")
                 except Mismatch as exc:
                     ok = False
                     print(f"  {name}: MISMATCH {exc}")
                 failures += not ok
-    return failures
+    return failures, largest, files
 
 
 def main(argv=None) -> int:
@@ -161,8 +167,10 @@ def main(argv=None) -> int:
                         default=list(COMMANDS))
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        failures = compare(args.old, args.new, args.case, args.command, work)
-    print(f"{failures} failing line(s)")
+        failures, largest, files = compare(args.old, args.new, args.case,
+                                           args.command, work)
+    print(f"{failures} failing line(s); largest relative difference "
+          f"{largest:.3g} over {files} files")
     return 1 if failures else 0
 
 
