@@ -137,63 +137,67 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
-def _times_basis(m: np.ndarray, s: Subspace) -> np.ndarray:
-    """``m @ s.basis``, read as a column selection when ``s`` has a mask.
+def _times_basis(m: np.ndarray, s: Subspace,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """``m`` times the columns of ``s``'s basis that live in ``rows``.
 
-    A subspace built by ``Subspace.coordinates`` carries its mask; the
-    selection equals the product bitwise, up to the sign of a zero.
+    ``rows`` are one diagonal block's coordinates, a column of ``m`` each.
+    A subspace with a mask is read by column selection, equal to the
+    product bitwise up to the sign of a zero; any other is one block.
     """
-    return m @ s.basis if s.mask is None else m[:, s.mask]
+    return m @ s.basis[rows] if s.mask is None else m[:, s.mask[rows]]
+
+
+def _basis_times(s: Subspace, rows: slice, c: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the columns of ``s``'s basis that live there, times
+    ``c``; for a subspace with a mask, ``c`` placed in the masked rows."""
+    if s.mask is None:
+        return s.basis[rows] @ c
+    lifted = np.zeros((s.mask[rows].size, c.shape[1]), dtype=np.complex128)
+    lifted[s.mask[rows]] = c
+    return lifted
 
 
 def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Principal vectors whose cosine (singular value of a^H b) reaches
-    ``1 - tol`` are kept.
-
-    When ``b`` was built by ``Subspace.coordinates`` as ``span(e_mask)``,
-    the sines of the principal angles are the singular values of the rows
-    of ``a``'s basis outside the mask (padded with zeros to ``a.dim``).
-    The intersection is ``a``'s basis times the right singular vectors
-    whose sine is at most ``sqrt(2 tol - tol^2)``, the same rule as the
-    cosine's, from one ``(n - |mask|) x dim a`` SVD; that basis is
-    orthonormal as it stands.
-    Any other ``b``, identity columns included, is general: the cosines
-    come from the SVD of ``a^H b`` and the kept principal vectors are
-    re-orthonormalized.
+    ``1 - tol`` are kept: ``a``'s basis times the orthonormal coefficients
+    of ``_intersection_coefficients``, an orthonormal basis as it stands.
     """
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
-    if b.mask is not None:
-        coef = _mask_coefficients(a.basis, b.mask, tol)
-        return Subspace(a.basis if coef is None else a.basis @ coef)
-    u, s, _ = np.linalg.svd(a.basis.conj().T @ b.basis)
-    k = int(np.sum(s >= 1.0 - tol))
-    if k == 0:
-        return zero_subspace(a.ambient_dim)
-    return orthonormalize(a.basis @ u[:, :k], tol)
+    coef = _intersection_coefficients(a.basis, b, tol)
+    return Subspace(a.basis if coef is None else a.basis @ coef)
 
 
-def _mask_coefficients(basis: np.ndarray, mask: np.ndarray,
-                       tol: float) -> np.ndarray | None:
-    """Coefficients ``W`` with ``basis @ W`` a basis of
-    ``span(basis) & span(e_mask)``, for orthonormal ``basis``.
+def _intersection_coefficients(a: np.ndarray, b: Subspace, tol: float,
+                               rows: slice = slice(None)) -> np.ndarray | None:
+    """Orthonormal ``W`` with ``a @ W`` a basis of ``span(a) & span(b)``,
+    for orthonormal columns ``a`` living in ``rows``; None keeps ``a``.
 
-    The rule of ``intersect`` for a coordinate subspace: the right singular
-    vectors of the rows of ``basis`` outside the mask whose sine is at
-    most ``sqrt(2 tol - tol^2)``. The cut is absolute, so the rule applies
-    to the diagonal blocks of a block-sparse basis one at a time. A basis
-    with no row outside the mask (or no column) is kept whole, given as
-    None, and one with no row inside it has all sines 1 and keeps nothing;
-    neither takes an SVD.
+    For ``b = span(e_mask)`` the sines of the principal angles are the
+    singular values of the rows of ``a`` outside the mask, padded with
+    zeros to ``a``'s width, and ``W`` are the right singular vectors whose
+    sine is at most ``sqrt(2 tol - tol^2)``, the cosine rule's. The cut is
+    absolute, so it applies to the blocks of a block-sparse basis one at a
+    time. With no row outside the mask (or no column) ``a`` is kept whole,
+    and with no row inside it nothing is; neither takes an SVD. Any other
+    ``b`` is one block: ``W`` are the left singular vectors of ``a^H b``
+    whose cosine reaches ``1 - tol``.
     """
-    if mask.all() or not basis.shape[1]:
+    if not a.shape[1]:
+        return None
+    if b.mask is None:
+        u, s, _ = np.linalg.svd(a.conj().T @ b.basis[rows])
+        return u[:, :int(np.sum(s >= 1.0 - tol))]
+    mask = b.mask[rows]
+    if mask.all():
         return None
     if not mask.any():
-        return np.zeros((basis.shape[1], 0), dtype=basis.dtype)
-    outside = basis[~mask]
+        return np.zeros((a.shape[1], 0), dtype=a.dtype)
+    outside = a[~mask]
     _, s, vh = np.linalg.svd(
         outside, full_matrices=outside.shape[0] < outside.shape[1])
     dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))

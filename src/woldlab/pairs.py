@@ -53,12 +53,12 @@ from .hardy import (
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _basis_times,
     _block_kernels,
+    _intersection_coefficients,
     _times_basis,
-    _mask_coefficients,
     complement,
     gram_defect,
-    intersect,
     kernel,
     mutual_orthogonality,
     operator_norm,
@@ -132,11 +132,12 @@ class HyperRangeSplit:
     ``Q_perp`` of its complement, read off one deflation; ``s2q`` is
     ``S2 Q`` and ``a2`` the compression ``Q^H S2 Q``.
 
-    ``blocks`` are the finest exact diagonal blocks of ``S1`` that the
-    deflation cut, in order: a ``(rows, cols)`` pair of slices each, the
-    block being ``S1[rows, rows]`` and ``Q[rows, cols]`` the part of ``Q``
-    it owns (``Q`` is zero elsewhere in those columns). An ``S1`` with no
-    such split is one block, ``((slice(0, n), slice(0, dim H)),)``.
+    ``blocks`` are the diagonal blocks of ``S1`` the pair's probe is read
+    over (``_probe_blocks``), in order: a ``(rows, cols)`` pair of slices
+    each, the block being ``S1[rows, rows]`` and ``Q[rows, cols]`` the part
+    of ``Q`` it owns (``Q`` is zero elsewhere in those columns). With a
+    coordinate probe they are the finest exact diagonal blocks that the
+    deflation cut; the one block is ``(slice(0, n), slice(0, dim H))``.
     """
 
     h_inf: Subspace
@@ -156,11 +157,12 @@ class OperatorPair:
 
     ``commutator_residual``, ``defect_1`` and ``defect_2`` are the operator
     norms of ``(S1 S2 - S2 S1) P`` and of the Gram defects of ``S1 P`` and
-    ``S2 P`` for the probe basis ``P``; each is computed on first read.
+    ``S2 P`` for the probe basis ``P``; each is computed on first read,
+    from the products validation reads (``_probe_images``).
 
     ``s1_blocks`` are the row slices of the finest exact diagonal blocks of
-    the first operator, found once per pair: validation with a coordinate
-    probe reads them, and the split reuses them.
+    the first operator, found once per pair: validation reads them, and
+    the split deflates over them.
 
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
@@ -179,26 +181,45 @@ class OperatorPair:
 
     @cached_property
     def commutator_residual(self) -> float:
-        m1, m2 = self.s1.matrix, self.s2.matrix
-        return operator_norm(_times_basis(m1 @ m2 - m2 @ m1, self.probe))
+        return operator_norm(self._probe_images()[2])
 
     @cached_property
     def defect_1(self) -> float:
-        return gram_defect(_times_basis(self.s1.matrix, self.probe))
+        return max(gram_defect(blk) for blk in self._probe_images()[0])
 
     @cached_property
     def defect_2(self) -> float:
-        return gram_defect(_times_basis(self.s2.matrix, self.probe))
+        return gram_defect(self._probe_images()[1])
 
     @cached_property
     def s1_blocks(self) -> tuple:
         return _block_slices(self.s1.matrix)
+
+    def _probe_images(self) -> tuple:
+        """``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P``.
+
+        Over the probe's blocks (``_probe_blocks``) ``S1 P`` is block
+        diagonal, ``S1[rows, rows] P[rows]`` each, so ``S1 (S2 P)`` is
+        formed by block rows and ``S2 (S1 P)`` by blocks of columns. Not
+        cached: validation reads them once, and a residual on first read.
+        """
+        m1, m2, probe = self.s1.matrix, self.s2.matrix, self.probe
+        blocks = _probe_blocks(probe, self.s1_blocks,
+                               slice(0, self.space.dim))
+        s1p = [_times_basis(m1[rows, rows], probe, rows) for rows in blocks]
+        s2p = _times_basis(m2, probe)
+        commutator = (
+            np.vstack([m1[rows, rows] @ s2p[rows] for rows in blocks])
+            - np.hstack([m2[:, rows] @ blk for rows, blk in zip(blocks, s1p)]))
+        return s1p, s2p, commutator
 
     @cached_property
     def split_1(self) -> HyperRangeSplit:
         """Split by the first operator's hyper-range, computed once."""
         h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix,
                                                   _slices=self.s1_blocks)
+        blocks = _probe_blocks(self.probe, blocks,
+                               (slice(0, self.space.dim), slice(0, h_inf.dim)))
         q, m2 = h_inf.basis, self.s2.matrix
         # block k's columns of Q are zero outside its rows
         s2q = np.empty((m2.shape[0], q.shape[1]), dtype=np.complex128)
@@ -399,6 +420,13 @@ class FinitenessReport:
     r_iii: float
 
 
+def _probe_blocks(probe: Subspace, blocks: tuple, whole) -> tuple:
+    """A coordinate probe splits over S1's blocks; any other probe is one
+    block, ``whole``, given in the form of ``blocks`` (rows or (rows, cols)).
+    """
+    return blocks if probe.mask is not None else (whole,)
+
+
 def _default_probe(s1: GradedOperator, s2: GradedOperator) -> Subspace:
     degs = s1.domain.degrees_array()
     cut = s1.domain.degree - s1.growth - s2.growth
@@ -411,25 +439,18 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
 
     The commutator and each operator's isometry defect are evaluated on the
     probe subspace (by default, coordinates far enough below the top degree
-    that truncation cannot reach them). A probe built by
-    ``Subspace.coordinates`` (the default and the unscrambled fixtures'
-    probes) is applied by column selection, so its images ``S P`` are read
-    rather than multiplied; the residuals take the same route. Each defect
-    is decided by its Frobenius norm first, an upper bound of its operator
-    norm: at or below 1e-8 it passes with no SVD. Otherwise the pair's
-    exact residual (an operator norm) decides, and names the value when it
-    raises; a non-finite entry never passes. The returned pair computes
-    its three residuals on first read.
-
-    With a coordinate probe, the first operator's exact diagonal blocks
-    are found here, once per pair (``OperatorPair.s1_blocks``, which the
-    split reuses). The probe's columns inside a block meet ``S1`` only in
-    that block, so ``S1 P`` is block diagonal with blocks
-    ``B_k = S1[k, k][:, mask_k]``: its Gram bound is summed over the
-    blocks, ``S1 (S2 P)`` is formed by block rows and ``S2 (S1 P)`` by
-    blocks of columns, ``S2[:, k] B_k``. A first operator of one block,
-    or a probe without a mask (read as one block), takes the dense
-    products.
+    that truncation cannot reach them). The first operator's exact
+    diagonal blocks are found here, once per pair
+    (``OperatorPair.s1_blocks``, which the split reuses), and the images
+    ``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P`` are formed
+    (``OperatorPair._probe_images``): a probe built by
+    ``Subspace.coordinates`` splits over the blocks and is applied by
+    column selection, any other probe is one block. Each defect is decided
+    by its Frobenius norm first, an upper bound of its operator norm, with
+    the Gram bound of ``S1 P`` summed over its blocks: at or below 1e-8 it
+    passes with no SVD. Otherwise the pair's exact residual (an operator
+    norm, read off the same images) decides, and names the value when it
+    raises; a non-finite entry never passes.
 
     Raises
     ------
@@ -460,19 +481,12 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
         )
     pair = OperatorPair(s1=a, s2=b, space=a.domain, probe=probe,
                         assembly=assembly)
-    m1, m2 = a.matrix, b.matrix
-    img2 = _times_basis(m2, probe)
-    # S1 P is block diagonal over S1's blocks when P is a coordinate probe
-    slices = pair.s1_blocks if probe.mask is not None else (slice(None),)
-    s1p = [_times_basis(m1, probe)] if len(slices) == 1 else \
-        [m1[sl, sl][:, probe.mask[sl]] for sl in slices]
+    s1p, s2p, comm = pair._probe_images()
     gram_1 = np.sqrt(sum(np.linalg.norm(blk.conj().T @ blk
                                         - np.eye(blk.shape[1])) ** 2
                          for blk in s1p))
-    gram_2 = np.linalg.norm(img2.conj().T @ img2 - np.eye(probe.dim))
-    commutator = np.linalg.norm(
-        np.vstack([m1[sl, sl] @ img2[sl] for sl in slices])
-        - np.hstack([m2[:, sl] @ blk for sl, blk in zip(slices, s1p)]))
+    gram_2 = np.linalg.norm(s2p.conj().T @ s2p - np.eye(probe.dim))
+    commutator = np.linalg.norm(comm)
     for name, bound, exact in (("first", gram_1, "defect_1"),
                                ("second", gram_2, "defect_2")):
         # "not <=" so that a NaN bound or residual is refused
@@ -588,29 +602,28 @@ def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
                       probe: Subspace) -> tuple[Subspace, Subspace, list]:
     """``E = ker(S1^H P)`` on the probe, and ``H & probe``, block by block.
 
-    For a probe built by ``Subspace.coordinates``, ``span(e_mask)`` with
-    its mask, both only read ``S1`` and the probe, so on a block-diagonal
-    ``S1`` they are sums over its diagonal blocks: ``E`` of the kernels of
-    ``S1^H[rows, probed rows]``, and ``H & probe`` of the intersections of
-    ``Q[rows, cols]`` with the block's probed coordinates. Every kernel
-    rank is cut at the largest block's top singular value, ``kernel``'s
-    rule for the whole matrix; the intersections' sine cut is absolute.
-    The bases are lifted by rows.
+    Both only read ``S1`` and the probe, so over the blocks the split
+    carries they are sums: ``E`` of the kernels of ``S1^H P`` restricted
+    to a block, and ``H & probe`` of the intersections of ``Q[rows, cols]``
+    with the probe's part in the block, lifted by rows. Every kernel rank
+    is cut at the largest block's top singular value, ``kernel``'s rule
+    for the whole matrix.
 
     The third value is the block-sparse ``W`` with ``H & probe = Q W``, one
     entry per block: the coefficients ``W_k`` with block ``k``'s columns
     ``Q[:, cols] W_k``, or None where the block is kept whole.
     """
-    n, mask = m1h.shape[0], probe.mask
+    n = m1h.shape[0]
     q = split.h_inf.basis
-    kernels = _block_kernels([m1h[rows, rows][:, mask[rows]]
+    kernels = _block_kernels([_times_basis(m1h[rows, rows], probe, rows)
                               for rows, _ in split.blocks], DEFAULT_TOL)
     e_cols, h_cols, coefs = [], [], []
     for (rows, cols), kern in zip(split.blocks, kernels):
         e = np.zeros((n, kern.shape[1]), dtype=np.complex128)
-        e[rows.start + np.flatnonzero(mask[rows])] = kern
+        e[rows] = _basis_times(probe, rows, kern)
         e_cols.append(e)
-        coef = _mask_coefficients(q[rows, cols], mask[rows], DEFAULT_TOL)
+        coef = _intersection_coefficients(q[rows, cols], probe, DEFAULT_TOL,
+                                          rows)
         part = q[rows, cols] if coef is None else q[rows, cols] @ coef
         h = np.zeros((n, part.shape[1]), dtype=np.complex128)
         h[rows] = part
@@ -631,8 +644,6 @@ def _probed_image_defects(m1h: np.ndarray, m2: np.ndarray,
     block ``k`` columns live in block ``k``'s rows, by blocks, as is
     ``S2 (S1^H X)``, one block of columns ``S2[:, rows] (S1^H X)_k`` each.
     """
-    if not x.dim:
-        return 0.0, 0.0
     images, compressed, swapped = [], [], []
     at = 0
     for (rows, cols), coef in zip(split.blocks, coefs):
@@ -664,15 +675,12 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     combinations drawn from ``seed``.
 
     The two subspaces the verdict rests on, ``E = ker(S1^H P)`` on the
-    probe and ``H & probe``, only read ``S1`` and the probe. For a probe
-    built by ``Subspace.coordinates``, which carries its mask, they are
-    found one diagonal block of ``S1`` at a time, over the blocks the
-    pair's split carries, and lifted by rows; every block's kernel rank is
-    cut at the largest block's top singular value, the rule ``kernel``
-    applies to the whole matrix, and the intersections' sine cut is
-    absolute. An ``S1`` with no exact block-diagonal split is the case of
-    one block. Any other probe, identity columns included, takes
-    ``kernel(S1^H P)`` and ``intersect(H, probe)`` whole.
+    probe and ``H & probe``, only read ``S1`` and the probe, and are found
+    one block at a time, over the blocks the pair's split carries: a
+    probe built by ``Subspace.coordinates`` splits over the diagonal
+    blocks of ``S1``, and any other probe, identity columns included, is
+    one block. Every block's kernel rank is cut at the largest block's top
+    singular value, the rule ``kernel`` applies to the whole matrix.
 
     Every residual is computed at working size, in the split basis
     ``[Q, Q_perp]`` of the hyper-range and its complement, never on an
@@ -681,16 +689,13 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
     ``B = Q^H S2 Q_perp`` (``red_in``). ``r_v`` reads ``B`` times the
     masked columns of ``Q_perp^H``, reduced by their R factor to at most
-    ``n - dim H`` columns, which keeps the singular values. A probe ``P``
-    that carries its mask is applied to ``S1^H`` by column selection.
+    ``n - dim H`` columns, which keeps the singular values.
 
-    On the block path, ``iso`` and ``dc`` read ``X = H & probe`` as
-    ``Q W``, with the block-sparse ``W`` the intersections give: ``S2 X``
-    and ``Q^H S2 X`` are ``(S2 Q) W`` and ``A2 W`` off the split (a column
-    selection for a block kept whole), and ``S1^H (S2 X)``, ``S1^H X`` and
-    ``S2 (S1^H X)`` are formed block by block; for one block these are
-    the dense products. A probe without a mask takes ``S2 X`` and the
-    products with ``S1^H`` whole.
+    ``iso`` and ``dc`` read ``X = H & probe`` as ``Q W``, with the
+    block-sparse ``W`` the intersections give: ``S2 X`` and ``Q^H S2 X``
+    are ``(S2 Q) W`` and ``A2 W`` off the split (a column selection for a
+    block kept whole), and ``S1^H (S2 X)``, ``S1^H X`` and ``S2 (S1^H X)``
+    are formed block by block; for one block these are the dense products.
 
     Nothing the verdict reads needs ``r_iv``, ``r_v`` or their Krylov
     stacks, so the report computes them on first read, from arrays it
@@ -699,25 +704,12 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     m1, m2 = p.s1.matrix, p.s2.matrix
     m1h = m1.conj().T
     split = p.split_1
-    h_inf = split.h_inf
-    q, q_perp = h_inf.basis, split.h_perp.basis
-    coefs = None
-    if p.probe.mask is None:
-        wandering = kernel(_times_basis(m1h, p.probe))
-        e_sub = Subspace(p.probe.basis @ wandering.basis)
-        h_probe = intersect(h_inf, p.probe)
-    else:
-        e_sub, h_probe, coefs = _probed_subspaces(m1h, split, p.probe)
+    q, q_perp = split.h_inf.basis, split.h_perp.basis
+    e_sub, h_probe, coefs = _probed_subspaces(m1h, split, p.probe)
     cross = q.conj().T @ (m2 @ q_perp)
     red_out = operator_norm(q_perp.conj().T @ split.s2q)
     red_in = operator_norm(cross)
-    if coefs is None:
-        image = m2 @ h_probe.basis
-        iso = gram_defect(q.conj().T @ image)
-        dc = operator_norm(m1h @ image - m2 @ (m1h @ h_probe.basis)) \
-            if h_probe.dim else 0.0
-    else:
-        iso, dc = _probed_image_defects(m1h, m2, split, h_probe, coefs)
+    iso, dc = _probed_image_defects(m1h, m2, split, h_probe, coefs)
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
@@ -835,10 +827,11 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     reduce the second, so the parts are read off the second operator's
     restrictions to ``H`` and ``H^perp`` at working size: for a basis ``Q``
     of a half, the hyper-range of ``Q^H S2 Q`` lifted by ``Q`` is where the
-    second operator is unitary, and its complement in the half where it is
-    a shift. This yields the parts on which (first, second) act as
-    (unitary, unitary), (unitary, shift), (shift, unitary), and (shift,
-    shift); an empty half yields two empty parts. Each part is labeled by
+    second operator is unitary, and its complement in the half, read off
+    the same deflation (``hyper_range_split``), where it is a shift. This
+    yields the parts on which (first, second) act as (unitary, unitary),
+    (unitary, shift), (shift, unitary), and (shift, shift); an empty half
+    yields two empty parts. Each part is labeled by
     measured unitarity defects, its shift coordinates get wandering fiber
     dimensions, and mixed parts report the constant compression of their
     unitary coordinate on the other coordinate's wandering subspace. The
@@ -863,9 +856,9 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     for (unitary_key, shift_key), q, a in (
             (("uu", "us"), split.h_inf.basis, split.a2),
             (("su", "ss"), q_o, q_o.conj().T @ m2 @ q_o)):
-        h2 = hyper_range(a)
+        h2, rest, _ = hyper_range_split(a)
         parts[unitary_key] = Subspace(q @ h2.basis)
-        parts[shift_key] = Subspace(q @ complement(h2).basis)
+        parts[shift_key] = Subspace(q @ rest.basis)
     dims = {k: v.dim for k, v in parts.items()}
     labels: dict = {}
     fibers: dict = {}
@@ -939,8 +932,10 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     split = p.split_1
     # Q^H S2^H Q is the adjoint of the cached compression A2
     dim_a = kernel(split.a2.conj().T).dim
-    k2 = kernel(m2.conj().T)
-    dim_b = orthonormalize(split.h_inf.basis.conj().T @ k2.basis).dim
+    q, k2 = split.h_inf.basis, kernel(m2.conj().T).basis
+    # cosines of H and ker S2^H, cut absolutely: rounding noise counts none
+    dim_b = int(np.sum(np.linalg.svd(q.conj().T @ k2, compute_uv=False)
+                       > DEFAULT_TOL))
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = p.verdict_report

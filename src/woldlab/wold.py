@@ -551,8 +551,8 @@ def cnu_eigenvector_span_residual(s, grid) -> float:
     if op.domain.dim != op.codomain.dim:
         raise DomainError("square compression required")
     n = op.domain.dim
-    hyper = hyper_range(op.matrix)
-    cnu = intersect(complement(hyper), Subspace.coordinates(op.window_mask()))
+    _, perp, _ = hyper_range_split(op.matrix)
+    cnu = intersect(perp, Subspace.coordinates(op.window_mask()))
     pts = list(grid)
     if not pts:
         return 1.0 if cnu.dim else 0.0

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -438,23 +438,28 @@ def test_validate_pair_failures_name_the_exact_operator_norm():
         "second operator is not isometric on the probe: defect 7.500e-01"
 
 
-def _block_sum_operators(rng, defect: float, twist: bool):
-    """Commuting block sums over three diagonal blocks of ``S1``; the last
-    block of ``S1`` is ``(1 + defect)`` times a unitary, and with ``twist``
-    the last block of ``S2`` is a unitary that does not commute with it."""
+def _block_sum_operators(rng, defect: float, twist: bool, where: int = 2):
+    """Commuting block sums over three diagonal blocks of ``S1``; block
+    ``where`` of ``S1`` is ``(1 + defect)`` times a unitary, and with
+    ``twist`` block ``where`` of ``S2`` is a unitary that does not commute
+    with it."""
     u, v, w = (_random_unitary(rng, k) for k in (3, 3, 2))
-    last = _random_unitary(rng, 2) if twist else w
-    return (block_diag(u, v, (1.0 + defect) * w),
-            block_diag(u @ u, v.conj().T, last))
+    first, second = [u, v, w], [u @ u, v.conj().T, w]
+    first[where] = (1.0 + defect) * first[where]
+    if twist:
+        second[where] = _random_unitary(rng, first[where].shape[0])
+    return block_diag(*first), block_diag(*second)
 
 
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("defect, twist", [(1e-6, False), (0.0, True)],
                          ids=["isometry-defect", "commutator"])
-def test_validate_pair_refuses_a_defect_in_the_last_block_only(defect,
-                                                              twist):
-    # the block-by-block bounds must read the last block too; the message
-    # carries the exact operator norm, not the Frobenius bound
-    s1, s2 = _block_sum_operators(np.random.default_rng(8), defect, twist)
+def test_validate_pair_refuses_a_defect_in_one_block_only(defect, twist,
+                                                          where):
+    # the block-by-block bounds must read every block; the message carries
+    # the exact operator norm, not the Frobenius bound
+    s1, s2 = _block_sum_operators(np.random.default_rng(8), defect, twist,
+                                  where)
     assert len(woldlab.wold._block_slices(s1)) == 3
     if twist:
         want = "operators do not commute: residual " \
@@ -709,24 +714,25 @@ def test_slocinski_matches_intersect_oracle(name):
 def test_slocinski_reads_the_two_halves_at_working_size(monkeypatch):
     pair, _ = four_block_pair(2)
     n, h = pair.space.dim, pair.split_1.h_inf.dim  # cached before counting
-    real_range, real_intersect = (woldlab.pairs.hyper_range,
-                                  woldlab.pairs.intersect)
-    shapes, intersections = [], []
+    real_split, real_complement = (woldlab.pairs.hyper_range_split,
+                                   woldlab.pairs.complement)
+    shapes, complements = [], []
 
-    def counting_range(t, *args, **kwargs):
+    def counting_split(t, *args, **kwargs):
         shapes.append(np.shape(t))
-        return real_range(t, *args, **kwargs)
+        return real_split(t, *args, **kwargs)
 
-    def counting_intersect(*args, **kwargs):
-        intersections.append(args)
-        return real_intersect(*args, **kwargs)
+    def counting_complement(sub, *args, **kwargs):
+        complements.append(sub.ambient_dim)
+        return real_complement(sub, *args, **kwargs)
 
-    monkeypatch.setattr(woldlab.pairs, "hyper_range", counting_range)
-    monkeypatch.setattr(woldlab.pairs, "intersect", counting_intersect)
+    monkeypatch.setattr(woldlab.pairs, "hyper_range_split", counting_split)
+    monkeypatch.setattr(woldlab.pairs, "complement", counting_complement)
     slocinski(pair)
     assert 0 < h < n
+    # each half gives both its parts from one split, with no complement
     assert shapes == [(h, h), (n - h, n - h)]
-    assert intersections == []
+    assert complements == []
 
 
 @settings(derandomize=True, max_examples=10, deadline=None, database=None)
@@ -803,7 +809,7 @@ def test_finiteness_cardinality_counts_the_default_forcing_atoms():
 
 def test_pair_computes_its_first_hyper_range_once(monkeypatch):
     # every analysis reads the one split of the space by H_inf(S1); after
-    # it, no hyper-range and no complement is taken at full size
+    # it, no split, hyper-range or complement is taken at full size
     real_split, real_range, real_complement = (
         woldlab.pairs.hyper_range_split, woldlab.pairs.hyper_range,
         woldlab.pairs.complement)
@@ -835,7 +841,9 @@ def test_pair_computes_its_first_hyper_range_once(monkeypatch):
             slocinski(pair)
         except PreconditionError:
             pass  # the three-part pair is not doubly commuting
-        assert splits == [(n, n)]
+        # the one full-size split, then the halves' splits in slocinski
+        assert splits[0] == (n, n)
+        assert all(shape[0] < n for shape in splits[1:])
         assert 0 < pair.split_1.h_inf.dim < n
         assert ranges and all(shape[0] < n for shape in ranges)
         assert all(ambient < n for ambient in complements)
@@ -950,12 +958,37 @@ def _schur_polynomial(seed, degree):
     return polynomial(c * rng.uniform(0.3, 0.9) / sup)
 
 
+def _partially_probed_unitary_part(rng):
+    """Commuting unitaries on 2 to 4 coordinates, one of them untrusted."""
+    dim = int(rng.integers(2, 5))
+    v1, v2 = woldlab.pairs._commuting_unitaries(rng, dim)
+    trusted = np.ones(dim, dtype=bool)
+    trusted[rng.integers(dim)] = False
+    return abstract_space(dim), v1, v2, trusted
+
+
+_BLOCK_PARTS = {
+    "tensor-shift": lambda rng: woldlab.pairs._tensor_shift_part(
+        *(int(k) for k in rng.integers(2, 5, size=2))),
+    "constant-shift": lambda rng: woldlab.pairs._constant_shift_part(
+        2 * np.pi * rng.random(), int(rng.integers(1, 9))),
+    "biunitary": lambda rng: woldlab.pairs._biunitary_part(
+        rng, int(rng.integers(1, 5))),
+    "partial-unitary": _partially_probed_unitary_part,
+}
+
 _ONLY_IF_PAIRS = st.one_of(
     st.tuples(st.just("example"), st.integers(0, 2 ** 32 - 1),
               st.integers(1, 3), st.sampled_from([16, 24, 32])),
     st.tuples(st.just("three-part"), st.integers(0, 2 ** 16)),
     st.tuples(st.just("four-block"), st.integers(0, 2 ** 16),
               st.integers(0, 2 ** 32 - 1)),
+    # a block sum of 2 to 4 parts in random order; a repeated (kind, seed)
+    # repeats a part bitwise, so its blocks are deflated once
+    st.tuples(st.just("block-sum"),
+              st.lists(st.tuples(st.sampled_from(sorted(_BLOCK_PARTS)),
+                                 st.integers(0, 2)),
+                       min_size=2, max_size=4)),
 )
 
 
@@ -963,6 +996,10 @@ def _only_if_pair(case):
     if case[0] == "example":
         _, seed, degree, d = case
         return construct_example(_schur_polynomial(seed, degree), d)
+    if case[0] == "block-sum":
+        return woldlab.pairs._block_pair(
+            [_BLOCK_PARTS[kind](np.random.default_rng(seed))
+             for kind, seed in case[1]])
     if case[0] == "three-part":
         return three_part_pair(case[1], degree=40)[0]
     pair, _ = four_block_pair(case[1])
@@ -1010,13 +1047,28 @@ def test_battery_property_wandering_leak_has_closed_form(seed, n_coeffs, d):
     assert abs(rep.r_iii - np.sqrt(1.0 - np.sum(np.abs(c) ** 2))) <= 1e-12
 
 
+def _biunitary_tensor_pair(seed):
+    """A bi-unitary part beside a tensor shift: ``H`` and ``ker S2^H``
+    meet nowhere, every cosine between them being rounding noise."""
+    return woldlab.pairs._block_pair(
+        [woldlab.pairs._biunitary_part(np.random.default_rng(seed), 2),
+         woldlab.pairs._tensor_shift_part(3, 3)])
+
+
+_SPECTRAL_PAIRS = {
+    "three-part": lambda seed: three_part_pair(seed, degree=40)[0],
+    "four-block": lambda seed: four_block_pair(seed)[0],
+    "biunitary-tensor": _biunitary_tensor_pair,
+}
+
+
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)
-@given(st.sampled_from(["three-part", "four-block"]), st.integers(0, 2 ** 16),
+@given(st.sampled_from(sorted(_SPECTRAL_PAIRS)), st.integers(0, 2 ** 16),
        st.integers(0, 2 ** 32 - 1))
+@example("biunitary-tensor", 0, 0)
 def test_spectral_analyses_property_commute_with_unitary_conjugation(
         kind, seed, qseed):
-    pair = three_part_pair(seed, degree=40)[0] if kind == "three-part" \
-        else four_block_pair(seed)[0]
+    pair = _SPECTRAL_PAIRS[kind](seed)
     moved = _conjugated(pair, _haar_unitary(np.random.default_rng(qseed),
                                             pair.space.dim))
     base, turned = finiteness_checks(pair), finiteness_checks(moved)
