@@ -158,46 +158,53 @@ def _basis_times(s: Subspace, rows: slice, c: np.ndarray) -> np.ndarray:
     return lifted
 
 
+def _adjoint_times(s: Subspace, y: np.ndarray) -> np.ndarray:
+    """``s``'s basis, adjoint, times ``y``: the partner of ``_times_basis``.
+
+    A subspace with a mask is read by row selection, ``y[mask]``.
+    """
+    return s.basis.conj().T @ y if s.mask is None else y[s.mask]
+
+
 def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
-    Principal vectors whose cosine (singular value of a^H b) reaches
+    Two coordinate subspaces meet in the coordinates both masks select,
+    ``Subspace.coordinates(a.mask & b.mask)``, with no SVD. Otherwise
+    principal vectors whose cosine (singular value of a^H b) reaches
     ``1 - tol`` are kept: ``a``'s basis times the orthonormal coefficients
     of ``_intersection_coefficients``, an orthonormal basis as it stands.
     """
     _check_same_ambient(a, b)
+    if a.mask is not None and b.mask is not None:
+        return Subspace.coordinates(a.mask & b.mask)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
     coef = _intersection_coefficients(a.basis, b, tol)
     return Subspace(a.basis if coef is None else a.basis @ coef)
 
 
-def _intersection_coefficients(a: np.ndarray, b: Subspace, tol: float,
-                               rows: slice = slice(None)) -> np.ndarray | None:
+def _intersection_coefficients(a: np.ndarray, b: Subspace,
+                               tol: float) -> np.ndarray | None:
     """Orthonormal ``W`` with ``a @ W`` a basis of ``span(a) & span(b)``,
-    for orthonormal columns ``a`` living in ``rows``; None keeps ``a``.
+    for orthonormal columns ``a``; None keeps ``a``.
 
     For ``b = span(e_mask)`` the sines of the principal angles are the
     singular values of the rows of ``a`` outside the mask, padded with
     zeros to ``a``'s width, and ``W`` are the right singular vectors whose
-    sine is at most ``sqrt(2 tol - tol^2)``, the cosine rule's. The cut is
-    absolute, so it applies to the blocks of a block-sparse basis one at a
-    time. With no row outside the mask (or no column) ``a`` is kept whole,
-    and with no row inside it nothing is; neither takes an SVD. Any other
-    ``b`` is one block: ``W`` are the left singular vectors of ``a^H b``
-    whose cosine reaches ``1 - tol``.
+    sine is at most ``sqrt(2 tol - tol^2)``, the cosine rule's. With no
+    row outside the mask ``a`` is kept whole, and with no row inside it
+    nothing is; neither takes an SVD. Any other ``b`` takes the left
+    singular vectors of ``a^H b`` whose cosine reaches ``1 - tol``.
     """
-    if not a.shape[1]:
-        return None
     if b.mask is None:
-        u, s, _ = np.linalg.svd(a.conj().T @ b.basis[rows])
+        u, s, _ = np.linalg.svd(a.conj().T @ b.basis)
         return u[:, :int(np.sum(s >= 1.0 - tol))]
-    mask = b.mask[rows]
-    if mask.all():
+    if b.mask.all():
         return None
-    if not mask.any():
+    if not b.mask.any():
         return np.zeros((a.shape[1], 0), dtype=a.dtype)
-    outside = a[~mask]
+    outside = a[~b.mask]
     _, s, vh = np.linalg.svd(
         outside, full_matrices=outside.shape[0] < outside.shape[1])
     dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))

@@ -53,12 +53,13 @@ from .hardy import (
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _adjoint_times,
     _basis_times,
     _block_kernels,
-    _intersection_coefficients,
     _times_basis,
     complement,
     gram_defect,
+    intersect,
     kernel,
     mutual_orthogonality,
     operator_norm,
@@ -128,23 +129,19 @@ class ExampleAssembly:
 class HyperRangeSplit:
     """The space split by the hyper-range ``H`` of the first operator.
 
-    ``h_inf`` and ``h_perp`` hold orthonormal bases ``Q`` of ``H`` and
-    ``Q_perp`` of its complement, read off one deflation; ``s2q`` is
-    ``S2 Q`` and ``a2`` the compression ``Q^H S2 Q``.
-
-    ``blocks`` are the diagonal blocks of ``S1`` the pair's probe is read
-    over (``_probe_blocks``), in order: a ``(rows, cols)`` pair of slices
-    each, the block being ``S1[rows, rows]`` and ``Q[rows, cols]`` the part
-    of ``Q`` it owns (``Q`` is zero elsewhere in those columns). With a
-    coordinate probe they are the finest exact diagonal blocks that the
-    deflation cut; the one block is ``(slice(0, n), slice(0, dim H))``.
+    ``h_inf`` and ``h_perp`` are ``H`` and its complement, with orthonormal
+    bases ``Q`` and ``Q_perp`` read off one deflation; ``s2q`` is ``S2 Q``
+    and ``a2`` the compression ``Q^H S2 Q``. When the deflation keeps or
+    drops every diagonal block of ``S1`` whole, as on every block-sum
+    fixture, ``H`` is the sum of the kept blocks' coordinates: both halves
+    are then ``Subspace.coordinates``, and ``S2 Q`` and ``A2`` submatrices
+    of ``S2``. Otherwise both carry the deflation's dense bases.
     """
 
     h_inf: Subspace
     h_perp: Subspace
     s2q: np.ndarray
     a2: np.ndarray
-    blocks: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +149,14 @@ class OperatorPair:
     """Validated commuting pair with its trust region and residuals.
 
     The probe is the pair's one trust region: validation, the battery and
-    the ladders read it, and nothing reads the ``growth`` or ``window`` of
-    the two operators.
+    the ladders read it. The operators' ``growth`` is read once, by
+    ``validate_pair`` when no probe is given, to cut the default probe
+    (``_default_probe``); no pair analysis reads their ``window``.
 
     ``commutator_residual``, ``defect_1`` and ``defect_2`` are the operator
     norms of ``(S1 S2 - S2 S1) P`` and of the Gram defects of ``S1 P`` and
     ``S2 P`` for the probe basis ``P``; each is computed on first read,
-    from the products validation reads (``_probe_images``).
+    from the products validation reads (``_commutator_images``).
 
     ``s1_blocks`` are the row slices of the finest exact diagonal blocks of
     the first operator, found once per pair: validation reads them, and
@@ -166,11 +164,12 @@ class OperatorPair:
 
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
-    (``split_1``): the bases ``Q`` of ``H`` and ``Q_perp`` of ``H^perp``,
-    ``S2 Q`` and ``A2 = Q^H S2 Q``, both formed block by block over the
-    columns of ``Q`` each diagonal block owns. The unitary part of the
-    first operator lies in ``H``, so it is found on the compression
-    ``Q^H S1 Q`` and lifted by ``Q``.
+    (``split_1``): ``H`` and ``H^perp`` with their bases ``Q`` and
+    ``Q_perp``, ``S2 Q`` and ``A2 = Q^H S2 Q``. ``H`` is a coordinate
+    subspace when the deflation keeps or drops each diagonal block whole,
+    and then ``S2 Q`` and ``A2`` are read by selection; otherwise they are
+    dense products. The unitary part of the first operator lies in ``H``,
+    so it is found on the compression ``Q^H S1 Q`` and lifted by ``Q``.
     """
 
     s1: GradedOperator
@@ -196,40 +195,34 @@ class OperatorPair:
         return _block_slices(self.s1.matrix)
 
     def _probe_images(self) -> tuple:
-        """``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P``.
-
-        Over the probe's blocks (``_probe_blocks``) ``S1 P`` is block
-        diagonal, ``S1[rows, rows] P[rows]`` each, so ``S1 (S2 P)`` is
-        formed by block rows and ``S2 (S1 P)`` by blocks of columns. Not
-        cached: validation reads them once, and a residual on first read.
+        """``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P``
+        (``_commutator_images``). Not cached: validation reads them once,
+        and a residual on first read.
         """
-        m1, m2, probe = self.s1.matrix, self.s2.matrix, self.probe
-        blocks = _probe_blocks(probe, self.s1_blocks,
-                               slice(0, self.space.dim))
-        s1p = [_times_basis(m1[rows, rows], probe, rows) for rows in blocks]
-        s2p = _times_basis(m2, probe)
-        commutator = (
-            np.vstack([m1[rows, rows] @ s2p[rows] for rows in blocks])
-            - np.hstack([m2[:, rows] @ blk for rows, blk in zip(blocks, s1p)]))
-        return s1p, s2p, commutator
+        return _commutator_images(self.s1.matrix, self.s2.matrix,
+                                  self.probe, self.s1_blocks)
 
     @cached_property
     def split_1(self) -> HyperRangeSplit:
-        """Split by the first operator's hyper-range, computed once."""
+        """Split by the first operator's hyper-range, computed once.
+
+        Block ``(rows, cols)`` of ``hyper_range_split`` owns columns
+        ``cols`` of ``Q``, zero outside ``rows``. When every block owns no
+        column or as many as it has rows, ``H`` is the coordinates of the
+        blocks that own columns.
+        """
         h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix,
                                                   _slices=self.s1_blocks)
-        blocks = _probe_blocks(self.probe, blocks,
-                               (slice(0, self.space.dim), slice(0, h_inf.dim)))
-        q, m2 = h_inf.basis, self.s2.matrix
-        # block k's columns of Q are zero outside its rows
-        s2q = np.empty((m2.shape[0], q.shape[1]), dtype=np.complex128)
-        a2 = np.empty((q.shape[1], q.shape[1]), dtype=np.complex128)
-        for rows, cols in blocks:
-            s2q[:, cols] = m2[:, rows] @ q[rows, cols]
-        for rows, cols in blocks:
-            a2[cols] = q[rows, cols].conj().T @ s2q[rows]
-        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q, a2=a2,
-                               blocks=blocks)
+        if all(cols.stop - cols.start in (0, rows.stop - rows.start)
+               for rows, cols in blocks):
+            mask = np.zeros(self.space.dim, dtype=bool)
+            for rows, cols in blocks:
+                mask[rows] = cols.stop > cols.start
+            h_inf, h_perp = (Subspace.coordinates(mask),
+                             Subspace.coordinates(~mask))
+        s2q = _times_basis(self.s2.matrix, h_inf)
+        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
+                               a2=_adjoint_times(h_inf, s2q))
 
     @cached_property
     def unitary_part_1(self) -> CanonicalDecomposition:
@@ -420,11 +413,31 @@ class FinitenessReport:
     r_iii: float
 
 
-def _probe_blocks(probe: Subspace, blocks: tuple, whole) -> tuple:
-    """A coordinate probe splits over S1's blocks; any other probe is one
-    block, ``whole``, given in the form of ``blocks`` (rows or (rows, cols)).
+def _subspace_blocks(sub: Subspace, s1_blocks: tuple) -> tuple:
+    """The row slices ``sub`` is read over: a coordinate subspace splits
+    over the first operator's diagonal blocks ``s1_blocks``, any other
+    subspace is one block."""
+    return s1_blocks if sub.mask is not None \
+        else (slice(0, sub.ambient_dim),)
+
+
+def _commutator_images(d: np.ndarray, m2: np.ndarray, x: Subspace,
+                       s1_blocks: tuple) -> tuple:
+    """``D X`` per block, ``S2 X`` and ``D (S2 X) - S2 (D X)``.
+
+    ``D`` is block diagonal over ``s1_blocks``: ``S1`` for validation, or
+    ``S1^H``. Over the blocks ``X`` is read in (``_subspace_blocks``),
+    ``D X`` is block diagonal, ``D[rows, rows] X[rows]`` each, so
+    ``D (S2 X)`` is formed by block rows and ``S2 (D X)`` by blocks of
+    columns; for one block these are the dense products.
     """
-    return blocks if probe.mask is not None else (whole,)
+    blocks = _subspace_blocks(x, s1_blocks)
+    dx = [_times_basis(d[rows, rows], x, rows) for rows in blocks]
+    s2x = _times_basis(m2, x)
+    commutator = (
+        np.vstack([d[rows, rows] @ s2x[rows] for rows in blocks])
+        - np.hstack([m2[:, rows] @ blk for rows, blk in zip(blocks, dx)]))
+    return dx, s2x, commutator
 
 
 def _default_probe(s1: GradedOperator, s2: GradedOperator) -> Subspace:
@@ -438,19 +451,20 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     """Measure a candidate pair's defects and reject anything beyond 1e-8.
 
     The commutator and each operator's isometry defect are evaluated on the
-    probe subspace (by default, coordinates far enough below the top degree
-    that truncation cannot reach them). The first operator's exact
-    diagonal blocks are found here, once per pair
+    probe subspace. By default it is the coordinates far enough below the
+    top degree that truncation cannot reach them: the degree window less
+    the two operators' ``growth`` (``_default_probe``). The first
+    operator's exact diagonal blocks are found here, once per pair
     (``OperatorPair.s1_blocks``, which the split reuses), and the images
     ``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P`` are formed
-    (``OperatorPair._probe_images``): a probe built by
-    ``Subspace.coordinates`` splits over the blocks and is applied by
-    column selection, any other probe is one block. Each defect is decided
-    by its Frobenius norm first, an upper bound of its operator norm, with
-    the Gram bound of ``S1 P`` summed over its blocks: at or below 1e-8 it
-    passes with no SVD. Otherwise the pair's exact residual (an operator
-    norm, read off the same images) decides, and names the value when it
-    raises; a non-finite entry never passes.
+    (``_commutator_images``): a probe built by ``Subspace.coordinates``
+    splits over the blocks and is applied by column selection, any other
+    probe is one block. Each defect is decided by its Frobenius norm
+    first, an upper bound of its operator norm, with the Gram bound of
+    ``S1 P`` summed over its blocks: at or below 1e-8 it passes with no
+    SVD. Otherwise the pair's exact residual (an operator norm, read off
+    the same images) decides, and names the value when it raises; a
+    non-finite entry never passes.
 
     Raises
     ------
@@ -598,68 +612,25 @@ def _level_caps(top: int, n_levels: int) -> list:
     return caps
 
 
-def _probed_subspaces(m1h: np.ndarray, split: HyperRangeSplit,
-                      probe: Subspace) -> tuple[Subspace, Subspace, list]:
-    """``E = ker(S1^H P)`` on the probe, and ``H & probe``, block by block.
+def _probed_wandering(m1h: np.ndarray, probe: Subspace,
+                      s1_blocks: tuple) -> Subspace:
+    """``E = ker(S1^H P)`` on the probe, block by block.
 
-    Both only read ``S1`` and the probe, so over the blocks the split
-    carries they are sums: ``E`` of the kernels of ``S1^H P`` restricted
-    to a block, and ``H & probe`` of the intersections of ``Q[rows, cols]``
-    with the probe's part in the block, lifted by rows. Every kernel rank
-    is cut at the largest block's top singular value, ``kernel``'s rule
-    for the whole matrix.
-
-    The third value is the block-sparse ``W`` with ``H & probe = Q W``, one
-    entry per block: the coefficients ``W_k`` with block ``k``'s columns
-    ``Q[:, cols] W_k``, or None where the block is kept whole.
+    Over the blocks the probe is read in (``_subspace_blocks``), ``E`` is
+    the sum of the kernels of ``S1^H P`` restricted to a block, lifted by
+    rows. Every kernel rank is cut at the largest block's top singular
+    value, ``kernel``'s rule for the whole matrix.
     """
     n = m1h.shape[0]
-    q = split.h_inf.basis
+    blocks = _subspace_blocks(probe, s1_blocks)
     kernels = _block_kernels([_times_basis(m1h[rows, rows], probe, rows)
-                              for rows, _ in split.blocks], DEFAULT_TOL)
-    e_cols, h_cols, coefs = [], [], []
-    for (rows, cols), kern in zip(split.blocks, kernels):
-        e = np.zeros((n, kern.shape[1]), dtype=np.complex128)
-        e[rows] = _basis_times(probe, rows, kern)
-        e_cols.append(e)
-        coef = _intersection_coefficients(q[rows, cols], probe, DEFAULT_TOL,
-                                          rows)
-        part = q[rows, cols] if coef is None else q[rows, cols] @ coef
-        h = np.zeros((n, part.shape[1]), dtype=np.complex128)
-        h[rows] = part
-        h_cols.append(h)
-        coefs.append(coef)
-    return Subspace(np.hstack(e_cols)), Subspace(np.hstack(h_cols)), coefs
-
-
-def _probed_image_defects(m1h: np.ndarray, m2: np.ndarray,
-                          split: HyperRangeSplit, x: Subspace,
-                          coefs: list) -> tuple[float, float]:
-    """The battery's ``iso`` and ``dc`` on ``X = H & probe = Q W``, block
-    by block; ``coefs`` is the ``W`` of ``_probed_subspaces``.
-
-    ``S2 X = (S2 Q) W`` and ``Q^H S2 X = A2 W`` are read off the split, a
-    column selection for a block kept whole. ``S1^H`` is block diagonal,
-    so ``S1^H (S2 X)`` is formed by block rows, and ``S1^H X``, whose
-    block ``k`` columns live in block ``k``'s rows, by blocks, as is
-    ``S2 (S1^H X)``, one block of columns ``S2[:, rows] (S1^H X)_k`` each.
-    """
-    images, compressed, swapped = [], [], []
+                              for rows in blocks], DEFAULT_TOL)
+    e = np.zeros((n, sum(k.shape[1] for k in kernels)), dtype=np.complex128)
     at = 0
-    for (rows, cols), coef in zip(split.blocks, coefs):
-        image, comp = split.s2q[:, cols], split.a2[:, cols]
-        if coef is not None:
-            image, comp = image @ coef, comp @ coef
-        part = x.basis[rows, at:at + image.shape[1]]
-        at += image.shape[1]
-        images.append(image)
-        compressed.append(comp)
-        swapped.append(m2[:, rows] @ (m1h[rows, rows] @ part))
-    image = np.hstack(images)
-    adjoint = np.vstack([m1h[rows, rows] @ image[rows]
-                         for rows, _ in split.blocks])
-    return (gram_defect(np.hstack(compressed)),
-            operator_norm(adjoint - np.hstack(swapped)))
+    for rows, kern in zip(blocks, kernels):
+        e[rows, at:at + kern.shape[1]] = _basis_times(probe, rows, kern)
+        at += kern.shape[1]
+    return Subspace(e)
 
 
 def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
@@ -674,28 +645,29 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     wandering basis vector and, when there are several, two random
     combinations drawn from ``seed``.
 
-    The two subspaces the verdict rests on, ``E = ker(S1^H P)`` on the
-    probe and ``H & probe``, only read ``S1`` and the probe, and are found
-    one block at a time, over the blocks the pair's split carries: a
+    The two subspaces the verdict rests on are ``E = ker(S1^H P)`` on the
+    probe and ``X = H & probe``. ``E`` is found one block at a time: a
     probe built by ``Subspace.coordinates`` splits over the diagonal
     blocks of ``S1``, and any other probe, identity columns included, is
     one block. Every block's kernel rank is cut at the largest block's top
     singular value, the rule ``kernel`` applies to the whole matrix.
+    ``X`` is ``intersect(H, probe)``: a mask ``AND`` when both are
+    coordinate subspaces, as on every unscrambled fixture.
 
     Every residual is computed at working size, in the split basis
     ``[Q, Q_perp]`` of the hyper-range and its complement, never on an
     n x n projector: a projected image ``P x`` enters through ``Q^H x``,
     which has the same norms and singular values, and the off-diagonal
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
-    ``B = Q^H S2 Q_perp`` (``red_in``). ``r_v`` reads ``B`` times the
-    masked columns of ``Q_perp^H``, reduced by their R factor to at most
-    ``n - dim H`` columns, which keeps the singular values.
+    ``B = Q^H S2 Q_perp`` (``red_in``), each a submatrix of ``S2`` for a
+    coordinate split. ``r_v`` reads ``B`` times the masked columns of
+    ``Q_perp^H``, reduced by their R factor to at most ``n - dim H``
+    columns, which keeps the singular values.
 
-    ``iso`` and ``dc`` read ``X = H & probe`` as ``Q W``, with the
-    block-sparse ``W`` the intersections give: ``S2 X`` and ``Q^H S2 X``
-    are ``(S2 Q) W`` and ``A2 W`` off the split (a column selection for a
-    block kept whole), and ``S1^H (S2 X)``, ``S1^H X`` and ``S2 (S1^H X)``
-    are formed block by block; for one block these are the dense products.
+    ``iso`` is the Gram defect of ``Q^H S2 X`` and ``dc`` the norm of
+    ``S1^H (S2 X) - S2 (S1^H X)``, formed by ``_commutator_images``: by
+    selection and block by block when ``X`` is a coordinate subspace, and
+    as one block otherwise.
 
     Nothing the verdict reads needs ``r_iv``, ``r_v`` or their Krylov
     stacks, so the report computes them on first read, from arrays it
@@ -704,16 +676,20 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     m1, m2 = p.s1.matrix, p.s2.matrix
     m1h = m1.conj().T
     split = p.split_1
-    q, q_perp = split.h_inf.basis, split.h_perp.basis
-    e_sub, h_probe, coefs = _probed_subspaces(m1h, split, p.probe)
-    cross = q.conj().T @ (m2 @ q_perp)
-    red_out = operator_norm(q_perp.conj().T @ split.s2q)
+    h_inf, h_perp = split.h_inf, split.h_perp
+    e_sub = _probed_wandering(m1h, p.probe, p.s1_blocks)
+    cross = _adjoint_times(h_inf, _times_basis(m2, h_perp))
+    red_out = operator_norm(_adjoint_times(h_perp, split.s2q))
     red_in = operator_norm(cross)
-    iso, dc = _probed_image_defects(m1h, m2, split, h_probe, coefs)
+    _, s2x, commutator = _commutator_images(
+        m1h, m2, intersect(h_inf, p.probe), p.s1_blocks)
+    iso = gram_defect(_adjoint_times(h_inf, s2x))
+    dc = operator_norm(commutator)
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
-    r_iii = 0.0 if vacuous else operator_norm(q.conj().T @ (m2 @ e_sub.basis))
+    r_iii = 0.0 if vacuous else operator_norm(
+        _adjoint_times(h_inf, m2 @ e_sub.basis))
     degs = p.space.degrees_array()
     top = max(int(np.max(degs)), _N_LEVELS)
     verdict = bool(vacuous or r_iii <= 1e-8)
@@ -721,8 +697,8 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
         e_subspace=e_sub, r_i=float(r_i), r_ii=float(r_ii),
         r_iii=float(r_iii), levels=_level_caps(top, _N_LEVELS),
         verdict=verdict, vacuous=vacuous,
-        tail=_BatteryTail(m1=m1, m2=m2, q=q, q_perp=q_perp, cross=cross,
-                          degs=degs, seed=seed),
+        tail=_BatteryTail(m1=m1, m2=m2, q=h_inf.basis, q_perp=h_perp.basis,
+                          cross=cross, degs=degs, seed=seed),
     )
 
 
@@ -844,8 +820,9 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         If the adjoint commutator on the probe exceeds 1e-8.
     """
     m1, m2 = p.s1.matrix, p.s2.matrix
+    # S1^H (S2 P) - S2 (S1^H P), over the probe's blocks
     dc = operator_norm(
-        _times_basis(m1.conj().T @ m2 - m2 @ m1.conj().T, p.probe))
+        _commutator_images(m1.conj().T, m2, p.probe, p.s1_blocks)[2])
     if dc > 1e-8:
         raise PreconditionError(
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"

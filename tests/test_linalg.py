@@ -228,11 +228,27 @@ def test_a_hand_built_identity_probe_gives_the_coordinate_answers():
 
 def test_intersect_with_the_example_probe_takes_one_svd_of_the_rows_outside(
         monkeypatch):
-    pair = construct_example(polynomial([0.5, 0.5]), 32)
+    # a first operator whose mixed block [[e^{0.7i}, 0.6], [0, 0]] the
+    # deflation keeps in part, so H is a dense basis beside the probe's mask
+    u = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    s1 = np.zeros((5, 5), dtype=np.complex128)
+    s1[0, :2] = np.exp(0.7j), 0.6
+    s1[2:, 2:] = u
+    mask = np.array([True, False, True, True, False])
+    pair = validate_pair(s1, np.eye(5), Subspace.coordinates(mask))
     h_inf, probe = pair.split_1.h_inf, pair.probe
+    assert h_inf.mask is None and h_inf.dim == 4
     shapes = _recording_svd(monkeypatch)
     got = intersect(h_inf, probe)
     assert shapes == [(probe.ambient_dim - probe.dim, h_inf.dim)]
+    assert got.dim == intersect_avg_projector(h_inf, probe).dim == 3
+    # two coordinate subspaces meet in their masks' AND, with no SVD
+    pair = construct_example(polynomial([0.5, 0.5]), 32)
+    h_inf, probe = pair.split_1.h_inf, pair.probe
+    shapes.clear()
+    got = intersect(h_inf, probe)
+    assert shapes == []
+    assert np.array_equal(got.mask, h_inf.mask & probe.mask)
     assert got.dim == intersect_avg_projector(h_inf, probe).dim
 
 

@@ -26,7 +26,7 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            point_spectrum_part, slocinski, tensor_shift_pair,
                            three_part_pair, validate_pair, verdict_battery)
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
-from woldlab.wold import unitary_part, wandering_subspace
+from woldlab.wold import hyper_range, unitary_part, wandering_subspace
 
 from oracles import (model_audits_rungwise, reducing_residual_complement,
                      slocinski_parts_intersect, verdict_battery_projector)
@@ -273,7 +273,8 @@ def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     pair = construct_example(polynomial([0.5, 0.5]), 48)
     n = pair.space.dim
     # cached on the pair: count the battery's own SVDs
-    largest = max(rows.stop - rows.start for rows, _ in pair.split_1.blocks)
+    pair.split_1
+    largest = max(rows.stop - rows.start for rows in pair.s1_blocks)
     wide, svd_rows = [], []
 
     def recording(real):
@@ -297,8 +298,9 @@ def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     # the top cap of r_v reads B = Q^H S2 Q_perp through an R factor, so
     # no SVD or norm input spans all n columns, let alone n x n
     assert wide == []
-    # E and H & probe are found block by block: before the tail is read,
-    # no SVD has more rows than S1's largest diagonal block (54 of 201)
+    # E is found block by block and H & probe by its masks: before the tail
+    # is read, no SVD has more rows than S1's largest diagonal block (54 of
+    # 201)
     assert largest < n
     assert head and max(head) <= largest
 
@@ -351,19 +353,23 @@ def test_block_path_finds_the_subspaces_of_the_general_path(name):
     pair = _BLOCK_PATH_PAIRS[name]()
     m1, split, probe = pair.s1.matrix, pair.split_1, pair.probe
     assert np.array_equal(probe.mask, np.any(probe.basis != 0, axis=1))
-    e_sub, h_probe, _ = woldlab.pairs._probed_subspaces(m1.conj().T,
-                                                        split, probe)
-    assert len(split.blocks) > 1
+    e_sub = woldlab.pairs._probed_wandering(m1.conj().T, probe,
+                                            pair.s1_blocks)
+    assert len(pair.s1_blocks) > 1
     assert np.array_equal(verdict_battery(pair).e_subspace.basis,
                           e_sub.basis)
-    want_e = intersect(kernel(m1.conj().T), probe)
-    want_h = intersect(split.h_inf, probe)
+    h_probe = intersect(split.h_inf, probe)
+    assert split.h_inf.mask is not None and h_probe.mask is not None
+    # the dense oracles: the deflation's own basis, and unmasked probes
+    plain = Subspace(probe.basis.copy())
+    want_e = intersect(kernel(m1.conj().T), plain)
+    want_h = intersect(hyper_range(m1), plain)
     assert e_sub.dim == want_e.dim > 0
     assert h_probe.dim == want_h.dim
     assert subspace_distance(e_sub, want_e) <= 1e-12
     assert subspace_distance(h_probe, want_h) <= 1e-12
     owners = sum(np.linalg.norm(e_sub.basis[rows]) > 0.5
-                 for rows, _ in split.blocks)
+                 for rows in pair.s1_blocks)
     assert owners == (2 if name.startswith("four-block") else 1)
 
 
@@ -384,13 +390,42 @@ def test_validate_pair_passes_an_exact_pair_with_no_svd(make, monkeypatch):
     validate_pair(pair.s1, pair.s2, pair.probe)
 
 
+def _planted_defect_pair():
+    """A tensor shift beside a 2 x 2 block on which ``S1 = c diag(1, -1)``
+    and ``S2`` is a rotation by ``t``: the Gram defect of ``S1`` and the
+    commutator are both 5e-9, planted below the 1e-8 gate. Every product
+    has one nonzero term, so both routes form them exactly alike."""
+    c = np.sqrt(1.0 + 5e-9)
+    t = np.arcsin(2.5e-9 / c)
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return woldlab.pairs._block_pair(
+        [woldlab.pairs._tensor_shift_part(3, 3),
+         (abstract_space(2), c * np.diag([1.0, -1.0]), rot,
+          np.ones(2, dtype=bool))])
+
+
 def test_pair_residuals_are_the_exact_operator_norms():
-    pair = construct_example(polynomial([0.5, 0.5]), 32)
-    m1, m2, pb = pair.s1.matrix, pair.s2.matrix, pair.probe.basis
-    assert "defect_1" not in vars(pair)  # computed on first read
-    assert pair.commutator_residual == operator_norm((m1 @ m2 - m2 @ m1) @ pb)
-    assert pair.defect_1 == gram_defect(m1 @ pb)
-    assert pair.defect_2 == gram_defect(m2 @ pb)
+    pairs = [construct_example(polynomial([0.5, 0.5]), 32),
+             *(four_block_pair(s)[0] for s in range(4)),
+             three_part_pair(0)[0], _planted_defect_pair()]
+    for pair in pairs:
+        m1, m2, pb = pair.s1.matrix, pair.s2.matrix, pair.probe.basis
+        assert "defect_1" not in vars(pair)  # computed on first read
+        got = (pair.commutator_residual, pair.defect_1, pair.defect_2)
+        want = (operator_norm((m1 @ m2 - m2 @ m1) @ pb),
+                gram_defect(m1 @ pb), gram_defect(m2 @ pb))
+        # The two routes sum the same products in different orders. A
+        # product of inner size n is within gamma_n |A| |B| of the exact
+        # one, gamma_n about n eps (Higham, Accuracy and Stability of
+        # Numerical Algorithms, section 3.5), so each route lies within
+        # about n eps ||S1|| ||S2|| of the exact matrix; 8 covers two
+        # products per route, two routes and the SVD that takes the norm.
+        bound = 8 * pair.space.dim * np.finfo(float).eps * max(
+            operator_norm(m1), operator_norm(m2)) ** 2
+        assert np.max(np.abs(np.subtract(got, want))) <= bound
+    # the last pair's planted defects, far below that bound, read to 1e-12
+    assert got[:2] == pytest.approx((5e-9, 5e-9), rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_validate_pair_decides_by_the_operator_norm_past_the_bound():
@@ -504,25 +539,80 @@ def _partially_probed_pair():
     return validate_pair(s1, np.eye(8), Subspace.coordinates(mask))
 
 
-@pytest.mark.parametrize("name", sorted(_BLOCK_PATH_PAIRS) + ["partial"])
+def _mixed_part(rng):
+    """A block the deflation keeps in part: ``S1 = [[e^{i t}, 0.6], [0, 0]]``
+    and ``S2 = I``, trusted on the first coordinate, whose hyper-range is
+    that coordinate, one of the block's two."""
+    a1 = np.zeros((2, 2), dtype=np.complex128)
+    a1[0] = np.exp(2j * np.pi * rng.random()), 0.6
+    return (abstract_space(2), a1, np.eye(2, dtype=np.complex128),
+            np.array([True, False]))
+
+
+def _mixed_block_sum(seed):
+    """A bi-unitary, a mixed and a tensor-shift part: ``H`` is no
+    coordinate subspace, so the split keeps the deflation's dense bases."""
+    return woldlab.pairs._block_pair(
+        [woldlab.pairs._biunitary_part(np.random.default_rng(seed), 2),
+         _mixed_part(np.random.default_rng(seed)),
+         woldlab.pairs._tensor_shift_part(2, 3)])
+
+
+_ISO_DC_PAIRS = {**_BLOCK_PATH_PAIRS, "partial": _partially_probed_pair,
+                 "mixed": lambda: _mixed_block_sum(4)}
+
+
+@pytest.mark.parametrize("name", sorted(_ISO_DC_PAIRS))
 def test_block_path_iso_and_dc_match_the_dense_products(name):
-    pair = _partially_probed_pair() if name == "partial" \
-        else _BLOCK_PATH_PAIRS[name]()
-    m1h, m2, split = pair.s1.matrix.conj().T, pair.s2.matrix, pair.split_1
-    _, h_probe, coefs = woldlab.pairs._probed_subspaces(m1h, split,
-                                                        pair.probe)
-    kinds = {"whole" if c is None else "empty" if not c.shape[1]
-             else "coefficients" for c in coefs}
-    assert ("coefficients" in kinds) == (name == "partial")
-    x, q = h_probe.basis, split.h_inf.basis
-    image = m2 @ x
-    want = (gram_defect(q.conj().T @ image),
-            operator_norm(m1h @ image - m2 @ (m1h @ x)))
-    got = woldlab.pairs._probed_image_defects(m1h, m2, split, h_probe, coefs)
-    assert h_probe.dim > 0
+    pair = _ISO_DC_PAIRS[name]()
+    m1, m2, split = pair.s1.matrix, pair.s2.matrix, pair.split_1
+    m1h = m1.conj().T
+    x = intersect(split.h_inf, pair.probe)
+    assert (x.mask is None) == (name == "mixed")
+    _, image, commutator = woldlab.pairs._commutator_images(
+        m1h, m2, x, pair.s1_blocks)
+    got = (gram_defect(woldlab.linalg._adjoint_times(split.h_inf, image)),
+           operator_norm(commutator))
+    # the dense oracle: the deflation's own basis and an unmasked probe
+    q = hyper_range(m1)
+    xd = intersect(q, Subspace(pair.probe.basis.copy())).basis
+    want = (gram_defect(q.basis.conj().T @ (m2 @ xd)),
+            operator_norm(m1h @ (m2 @ xd) - m2 @ (m1h @ xd)))
+    assert x.dim == xd.shape[1] > 0
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
     rep = verdict_battery(pair)
     assert rep.r_i - rep.r_ii == pytest.approx(want[0] - want[1], abs=1e-14)
+
+
+@pytest.mark.parametrize("make, coordinate", [
+    (lambda: construct_example(polynomial([0.5, 0.5]), 32), True),
+    (lambda: construct_example(blaschke([0.35, -0.3j]), 16), True),
+    (lambda: four_block_pair(0)[0], True),
+    (lambda: four_block_pair(1, f_degree=10, g_degree=10, bidegree=8)[0],
+     True),
+    (lambda: tensor_shift_pair(5, 5), True),
+    (lambda: three_part_pair(0)[0], False),
+    (lambda: _mixed_block_sum(0), False),
+], ids=["example", "blaschke", "four-block", "four-block-cli", "tensor",
+        "three-part", "mixed"])
+def test_split_is_a_coordinate_subspace_when_every_block_is_whole(
+        make, coordinate):
+    # kept or dropped whole, the blocks of S1 give H as their coordinates;
+    # a block kept in part, or one scrambled block, keeps the dense bases
+    pair = make()
+    split = pair.split_1
+    assert (split.h_inf.mask is not None) == coordinate
+    assert (split.h_perp.mask is not None) == coordinate
+    if coordinate:
+        assert np.array_equal(split.h_perp.mask, ~split.h_inf.mask)
+        assert np.array_equal(split.a2, pair.s2.matrix[np.ix_(
+            split.h_inf.mask, split.h_inf.mask)])
+    want = hyper_range(pair.s1.matrix)
+    assert split.h_inf.dim == want.dim
+    assert subspace_distance(split.h_inf, want) <= 1e-12
+    q = split.h_inf.basis
+    assert np.max(np.abs(split.a2 - q.conj().T @ pair.s2.matrix @ q),
+                  initial=0.0) <= 1e-14
 
 
 def test_model_decomposition_requires_true_verdict():
@@ -975,6 +1065,7 @@ _BLOCK_PARTS = {
     "biunitary": lambda rng: woldlab.pairs._biunitary_part(
         rng, int(rng.integers(1, 5))),
     "partial-unitary": _partially_probed_unitary_part,
+    "mixed": _mixed_part,
 }
 
 _ONLY_IF_PAIRS = st.one_of(
@@ -1087,13 +1178,18 @@ def test_spectral_analyses_property_commute_with_unitary_conjugation(
 
 @settings(derandomize=True, max_examples=12, deadline=None, database=None)
 @given(_ONLY_IF_PAIRS, st.integers(0, 2 ** 32 - 1))
+# several blocks on the dense path: the mixed block is kept in part
+@example(("block-sum", [("biunitary", 0), ("mixed", 0), ("tensor-shift", 0)]),
+         0)
 def test_battery_property_commutes_with_unitary_conjugation(case, qseed):
     pair = _only_if_pair(case)
     moved = _conjugated(pair, _haar_unitary(np.random.default_rng(qseed),
                                             pair.space.dim))
     base, turned = verdict_battery(pair), verdict_battery(moved)
-    assert (turned.verdict, turned.vacuous, turned.e_subspace.dim) == \
-        (base.verdict, base.vacuous, base.e_subspace.dim)
+    assert (turned.verdict, turned.vacuous, turned.e_subspace.dim,
+            moved.split_1.h_inf.dim) == \
+        (base.verdict, base.vacuous, base.e_subspace.dim,
+         pair.split_1.h_inf.dim)
     for field in ("r_i", "r_ii", "r_iii"):
         assert abs(getattr(turned, field) - getattr(base, field)) <= 1e-10
 

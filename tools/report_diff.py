@@ -18,9 +18,10 @@ compared. The runs happen in a temporary directory, removed afterwards.
 Exit status 0 when nothing mismatches and no difference exceeds ``TOL``
 (1e-14); 1 otherwise.
 
-``CASES`` is a chosen spread of configs (the example symbols, level
-lists up to degree 48, a loose tolerance, atoms and the other fixtures). It is its own
-list, not a mirror of the configs of the command-line tests.
+``CASES`` is a chosen spread of configs (the example symbols, a generic
+polynomial symbol, level lists up to degree 48, a loose tolerance, atoms
+and the other fixtures). It is its own list, not a mirror of the configs
+of the command-line tests.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ CASES = {
     "levels-8": {"levels": [8]},
     "tensor": {"fixture": "tensor", "levels": [8]},
     "four-block-3": {"fixture": "four-block", "seed": 3, "levels": [8]},
+    # a generic symbol: neither z/2 nor inner, so its residuals are inexact
+    "generic-32-48": {"symbol": {"kind": "polynomial",
+                                 "coeffs": [[0.3, 0], [0, 0.2], [-0.25, 0]]},
+                      "levels": [32, 48]},
 }
 
 
