@@ -160,13 +160,12 @@ def multiplier(sym: SchurSymbol, degree: int,
     d = sym.fiber_dim
     dom = hardy_space(d, degree)
     cod = hardy_space(d, degree + g)
-    m = np.zeros((cod.dim, dom.dim), dtype=np.complex128)
-    for j in range(degree + 1):
-        for k in range(g + 1):
-            i = j + k
-            m[i * d:(i + 1) * d, j * d:(j + 1) * d] = c[k]
-    return GradedOperator(matrix=m, domain=dom, codomain=cod, growth=g,
-                          window=degree)
+    # block (j + k, j) is c[k]: one assignment into the blocks' 4-D view
+    m = np.zeros((degree + g + 1, d, degree + 1, d), dtype=np.complex128)
+    j = np.arange(degree + 1)[:, None]
+    m[j + np.arange(g + 1), :, j, :] = c
+    return GradedOperator(matrix=m.reshape(cod.dim, dom.dim), domain=dom,
+                          codomain=cod, growth=g, window=degree)
 
 
 def compress(op: GradedOperator, degree: int | None = None) -> GradedOperator:

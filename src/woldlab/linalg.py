@@ -84,11 +84,20 @@ class Subspace:
 
     @classmethod
     def coordinates(cls, mask) -> Subspace:
-        """Span of the coordinate vectors a 1-D boolean mask selects."""
-        mask = np.array(mask, dtype=bool)
+        """Span of the coordinate vectors a 1-D boolean mask selects.
+
+        Indices or numbers are refused, not read as truth values. Identity
+        columns are orthonormal, so the basis is not re-checked.
+        """
+        mask = np.array(mask)
+        if mask.dtype != bool:
+            raise ValidationError(
+                f"mask must be boolean, got dtype {mask.dtype}")
         if mask.ndim != 1:
             raise ValidationError(f"mask must be 1-D, got ndim={mask.ndim}")
-        sub = cls(np.eye(mask.size, dtype=np.complex128)[:, mask])
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "basis",
+                           np.eye(mask.size, dtype=np.complex128)[:, mask])
         object.__setattr__(sub, "mask", mask)
         return sub
 
@@ -148,9 +157,11 @@ def _times_basis(m: np.ndarray, s: Subspace,
     return m @ s.basis[rows] if s.mask is None else m[:, s.mask[rows]]
 
 
-def _basis_times(s: Subspace, rows: slice, c: np.ndarray) -> np.ndarray:
+def _basis_times(s: Subspace, c: np.ndarray,
+                 rows: slice = slice(None)) -> np.ndarray:
     """Rows ``rows`` of the columns of ``s``'s basis that live there, times
-    ``c``; for a subspace with a mask, ``c`` placed in the masked rows."""
+    ``c``, by default the lift of ``c`` by the basis; for a subspace with a
+    mask, ``c`` placed in the masked rows."""
     if s.mask is None:
         return s.basis[rows] @ c
     lifted = np.zeros((s.mask[rows].size, c.shape[1]), dtype=np.complex128)
@@ -170,10 +181,11 @@ def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Two coordinate subspaces meet in the coordinates both masks select,
-    ``Subspace.coordinates(a.mask & b.mask)``, with no SVD. Otherwise
-    principal vectors whose cosine (singular value of a^H b) reaches
-    ``1 - tol`` are kept: ``a``'s basis times the orthonormal coefficients
-    of ``_intersection_coefficients``, an orthonormal basis as it stands.
+    ``Subspace.coordinates(a.mask & b.mask)``, with no SVD. Any other pair
+    takes one rule: principal vectors whose cosine (singular value of
+    a^H b) reaches ``1 - tol`` are kept, as ``a``'s basis times the
+    orthonormal coefficients of ``_intersection_coefficients``, an
+    orthonormal basis as it stands.
     """
     _check_same_ambient(a, b)
     if a.mask is not None and b.mask is not None:
@@ -189,26 +201,17 @@ def _intersection_coefficients(a: np.ndarray, b: Subspace,
     """Orthonormal ``W`` with ``a @ W`` a basis of ``span(a) & span(b)``,
     for orthonormal columns ``a``; None keeps ``a``.
 
-    For ``b = span(e_mask)`` the sines of the principal angles are the
-    singular values of the rows of ``a`` outside the mask, padded with
-    zeros to ``a``'s width, and ``W`` are the right singular vectors whose
-    sine is at most ``sqrt(2 tol - tol^2)``, the cosine rule's. With no
-    row outside the mask ``a`` is kept whole, and with no row inside it
-    nothing is; neither takes an SVD. Any other ``b`` takes the left
-    singular vectors of ``a^H b`` whose cosine reaches ``1 - tol``.
+    ``W`` are the left singular vectors of ``a^H b`` whose cosine reaches
+    ``1 - tol``; for ``b`` with a mask, ``a^H b`` is read by selecting the
+    masked rows of ``a``. A mask that selects every coordinate keeps ``a``
+    whole, and one that selects none keeps nothing; neither takes an SVD.
     """
-    if b.mask is None:
-        u, s, _ = np.linalg.svd(a.conj().T @ b.basis)
-        return u[:, :int(np.sum(s >= 1.0 - tol))]
-    if b.mask.all():
+    if b.mask is not None and b.mask.all():
         return None
-    if not b.mask.any():
+    if b.mask is not None and not b.mask.any():
         return np.zeros((a.shape[1], 0), dtype=a.dtype)
-    outside = a[~b.mask]
-    _, s, vh = np.linalg.svd(
-        outside, full_matrices=outside.shape[0] < outside.shape[1])
-    dropped = int(np.sum(s > np.sqrt(2.0 * tol - tol * tol)))
-    return vh[dropped:].conj().T
+    u, s, _ = np.linalg.svd(_times_basis(a.conj().T, b))
+    return u[:, :int(np.sum(s >= 1.0 - tol))]
 
 
 def complement(s: Subspace) -> Subspace:
@@ -386,8 +389,7 @@ def pivoted_cholesky(gram, cutoff: float = 1e-12) -> np.ndarray:
         row = (g[p, :] - (rows[:step, p].conj() @ rows[:step, :])) / piv
         # Row p of the factor is exactly the pivot scale; clean it up.
         row[p] = piv
-        for q in order:
-            row[q] = 0.0
+        row[order] = 0.0
         rows[step, :] = row
         d -= np.abs(row) ** 2
         d[p] = 0.0

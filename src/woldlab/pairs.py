@@ -43,6 +43,7 @@ from .errors import (
 from .hardy import (
     GradedOperator,
     TruncatedSpace,
+    _multiplier_order,
     abstract_space,
     compress,
     direct_sum,
@@ -129,18 +130,15 @@ class ExampleAssembly:
 class HyperRangeSplit:
     """The space split by the hyper-range ``H`` of the first operator.
 
-    ``h_inf`` and ``h_perp`` are ``H`` and its complement, with orthonormal
-    bases ``Q`` and ``Q_perp`` read off one deflation; ``s2q`` is ``S2 Q``
-    and ``a2`` the compression ``Q^H S2 Q``. When the deflation keeps or
-    drops every diagonal block of ``S1`` whole, as on every block-sum
-    fixture, ``H`` is the sum of the kept blocks' coordinates: both halves
-    are then ``Subspace.coordinates``, and ``S2 Q`` and ``A2`` submatrices
-    of ``S2``. Otherwise both carry the deflation's dense bases.
+    ``h_inf`` and ``h_perp`` are ``H`` and its complement, as
+    ``hyper_range_split`` returns them, with orthonormal bases ``Q`` and
+    ``Q_perp``; ``a2`` is the compression ``Q^H S2 Q``. On every block-sum
+    fixture both halves are ``Subspace.coordinates`` and ``A2`` is a
+    submatrix of ``S2``.
     """
 
     h_inf: Subspace
     h_perp: Subspace
-    s2q: np.ndarray
     a2: np.ndarray
 
 
@@ -165,11 +163,12 @@ class OperatorPair:
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
     (``split_1``): ``H`` and ``H^perp`` with their bases ``Q`` and
-    ``Q_perp``, ``S2 Q`` and ``A2 = Q^H S2 Q``. ``H`` is a coordinate
-    subspace when the deflation keeps or drops each diagonal block whole,
-    and then ``S2 Q`` and ``A2`` are read by selection; otherwise they are
-    dense products. The unitary part of the first operator lies in ``H``,
-    so it is found on the compression ``Q^H S1 Q`` and lifted by ``Q``.
+    ``Q_perp``, and ``A2 = Q^H S2 Q``. Every compression to a half
+    (``_compression``) and every lift by its basis goes through the
+    mask-aware products of ``linalg``: read by selection when the half is
+    a coordinate subspace, dense products otherwise. The unitary part of
+    the first operator lies in ``H``, so it is found on the compression
+    ``Q^H S1 Q`` and lifted by ``Q``.
     """
 
     s1: GradedOperator
@@ -204,25 +203,11 @@ class OperatorPair:
 
     @cached_property
     def split_1(self) -> HyperRangeSplit:
-        """Split by the first operator's hyper-range, computed once.
-
-        Block ``(rows, cols)`` of ``hyper_range_split`` owns columns
-        ``cols`` of ``Q``, zero outside ``rows``. When every block owns no
-        column or as many as it has rows, ``H`` is the coordinates of the
-        blocks that own columns.
-        """
-        h_inf, h_perp, blocks = hyper_range_split(self.s1.matrix,
-                                                  _slices=self.s1_blocks)
-        if all(cols.stop - cols.start in (0, rows.stop - rows.start)
-               for rows, cols in blocks):
-            mask = np.zeros(self.space.dim, dtype=bool)
-            for rows, cols in blocks:
-                mask[rows] = cols.stop > cols.start
-            h_inf, h_perp = (Subspace.coordinates(mask),
-                             Subspace.coordinates(~mask))
-        s2q = _times_basis(self.s2.matrix, h_inf)
-        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp, s2q=s2q,
-                               a2=_adjoint_times(h_inf, s2q))
+        """Split by the first operator's hyper-range, computed once."""
+        h_inf, h_perp = hyper_range_split(self.s1.matrix,
+                                          _slices=self.s1_blocks)
+        return HyperRangeSplit(h_inf=h_inf, h_perp=h_perp,
+                               a2=_compression(self.s2.matrix, h_inf))
 
     @cached_property
     def unitary_part_1(self) -> CanonicalDecomposition:
@@ -233,10 +218,10 @@ class OperatorPair:
         defect is measured against the full first operator.
         """
         m1 = self.s1.matrix
-        q = self.split_1.h_inf.basis
-        small = unitary_part(q.conj().T @ m1 @ q)
-        unitary = Subspace(q @ small.unitary_part.basis)
-        cnu = Subspace(np.hstack([q @ small.cnu_part.basis,
+        h_inf = self.split_1.h_inf
+        small = unitary_part(_compression(m1, h_inf))
+        unitary = Subspace(_basis_times(h_inf, small.unitary_part.basis))
+        cnu = Subspace(np.hstack([_basis_times(h_inf, small.cnu_part.basis),
                                   self.split_1.h_perp.basis]))
         return CanonicalDecomposition(
             unitary_part=unitary,
@@ -413,6 +398,12 @@ class FinitenessReport:
     r_iii: float
 
 
+def _compression(m: np.ndarray, s: Subspace) -> np.ndarray:
+    """``Q^H M Q`` for the basis ``Q`` of ``s``: for a coordinate subspace
+    the submatrix of ``M`` on its mask, with no product."""
+    return _adjoint_times(s, _times_basis(m, s))
+
+
 def _subspace_blocks(sub: Subspace, s1_blocks: tuple) -> tuple:
     """The row slices ``sub`` is read over: a coordinate subspace splits
     over the first operator's diagonal blocks ``s1_blocks``, any other
@@ -579,7 +570,7 @@ def construct_example(phi: SchurSymbol, degree: int) -> OperatorPair:
         raise DomainError(f"symbol is not in the Schur class: {exc}") from exc
     r = c.shape[0]
     v_hat = _unitary_completion(c)
-    n_int = degree + multiplier(phi, 0).growth + 4
+    n_int = degree + _multiplier_order(phi) + 4
     # columns j > degree continue the embedding by the boundary unitary
     cols = np.empty((r, n_int + 1), dtype=np.complex128)
     cols[:, : degree + 1] = c
@@ -628,7 +619,7 @@ def _probed_wandering(m1h: np.ndarray, probe: Subspace,
     e = np.zeros((n, sum(k.shape[1] for k in kernels)), dtype=np.complex128)
     at = 0
     for rows, kern in zip(blocks, kernels):
-        e[rows, at:at + kern.shape[1]] = _basis_times(probe, rows, kern)
+        e[rows, at:at + kern.shape[1]] = _basis_times(probe, kern, rows)
         at += kern.shape[1]
     return Subspace(e)
 
@@ -660,7 +651,7 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     which has the same norms and singular values, and the off-diagonal
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
     ``B = Q^H S2 Q_perp`` (``red_in``), each a submatrix of ``S2`` for a
-    coordinate split. ``r_v`` reads ``B`` times the masked columns of
+    coordinate split, read by ``_times_basis`` and ``_adjoint_times``. ``r_v`` reads ``B`` times the masked columns of
     ``Q_perp^H``, reduced by their R factor to at most ``n - dim H``
     columns, which keeps the singular values.
 
@@ -679,7 +670,7 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     h_inf, h_perp = split.h_inf, split.h_perp
     e_sub = _probed_wandering(m1h, p.probe, p.s1_blocks)
     cross = _adjoint_times(h_inf, _times_basis(m2, h_perp))
-    red_out = operator_norm(_adjoint_times(h_perp, split.s2q))
+    red_out = operator_norm(_adjoint_times(h_perp, _times_basis(m2, h_inf)))
     red_in = operator_norm(cross)
     _, s2x, commutator = _commutator_images(
         m1h, m2, intersect(h_inf, p.probe), p.s1_blocks)
@@ -750,16 +741,15 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     m1, m2 = p.s1.matrix, p.s2.matrix
     n = p.space.dim
     split = p.split_1
-    q, a = split.h_inf.basis, split.a2
-    h_uu = Subspace(q @ hyper_range(a).basis)
-    f_wander = Subspace(q @ wandering_subspace(a).basis)
+    h_inf, h_perp, a = split.h_inf, split.h_perp, split.a2
+    h_uu = Subspace(_basis_times(h_inf, hyper_range(a).basis))
+    f_wander = Subspace(_basis_times(h_inf, wandering_subspace(a).basis))
     v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
     v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
     psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
     f_lad = _trusted_ladder(m2, f_wander, p.probe, n)
-    q_o = split.h_perp.basis
-    e_wander = Subspace(
-        q_o @ wandering_subspace(q_o.conj().T @ m1 @ q_o).basis)
+    e_wander = Subspace(_basis_times(
+        h_perp, wandering_subspace(_compression(m1, h_perp)).basis))
     e_dim = e_wander.dim
     e_lad = _trusted_ladder(m1, e_wander, p.probe, n)
     k_e = len(e_lad)
@@ -804,7 +794,10 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     restrictions to ``H`` and ``H^perp`` at working size: for a basis ``Q``
     of a half, the hyper-range of ``Q^H S2 Q`` lifted by ``Q`` is where the
     second operator is unitary, and its complement in the half, read off
-    the same deflation (``hyper_range_split``), where it is a shift. This
+    the same deflation (``hyper_range_split``), where it is a shift. When
+    the compression's blocks are kept or dropped whole, as on the
+    four-block and tensor pairs, that split and the lifts are selections;
+    the parts are still held as dense identity columns. This
     yields the parts on which (first, second) act as (unitary, unitary),
     (unitary, shift), (shift, unitary), and (shift, shift); an empty half
     yields two empty parts. Each part is labeled by
@@ -828,14 +821,13 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
             f"pair is not doubly commuting on the probe: residual {dc:.3e}"
         )
     split = p.split_1
-    q_o = split.h_perp.basis
     parts: dict = {}
-    for (unitary_key, shift_key), q, a in (
-            (("uu", "us"), split.h_inf.basis, split.a2),
-            (("su", "ss"), q_o, q_o.conj().T @ m2 @ q_o)):
-        h2, rest, _ = hyper_range_split(a)
-        parts[unitary_key] = Subspace(q @ h2.basis)
-        parts[shift_key] = Subspace(q @ rest.basis)
+    for (unitary_key, shift_key), half, a in (
+            (("uu", "us"), split.h_inf, split.a2),
+            (("su", "ss"), split.h_perp, _compression(m2, split.h_perp))):
+        h2, rest = hyper_range_split(a)
+        parts[unitary_key] = Subspace(_basis_times(half, h2.basis))
+        parts[shift_key] = Subspace(_basis_times(half, rest.basis))
     dims = {k: v.dim for k, v in parts.items()}
     labels: dict = {}
     fibers: dict = {}
@@ -909,10 +901,10 @@ def finiteness_checks(p: OperatorPair) -> FinitenessReport:
     split = p.split_1
     # Q^H S2^H Q is the adjoint of the cached compression A2
     dim_a = kernel(split.a2.conj().T).dim
-    q, k2 = split.h_inf.basis, kernel(m2.conj().T).basis
+    k2 = kernel(m2.conj().T).basis
     # cosines of H and ker S2^H, cut absolutely: rounding noise counts none
-    dim_b = int(np.sum(np.linalg.svd(q.conj().T @ k2, compute_uv=False)
-                       > DEFAULT_TOL))
+    dim_b = int(np.sum(np.linalg.svd(_adjoint_times(split.h_inf, k2),
+                                     compute_uv=False) > DEFAULT_TOL))
     card = len(unimodular_clusters(
         np.linalg.eigvals(p.unitary_part_1.unitary_block), 1e-6))
     rep = p.verdict_report

@@ -263,32 +263,29 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    return _deflated_range(m, tol, _block_slices(m))[0]
+    slices = _block_slices(m)
+    return Subspace(_lifted(slices, [h for h, _ in
+                                     _deflated_blocks(m, tol, slices)]))
 
 
 def hyper_range_split(t, tol: float = 1e-10, *,
                       _slices: tuple | None = None) -> tuple[Subspace,
-                                                             Subspace, tuple]:
-    """Hyper-range of a square matrix, its orthogonal complement, and the
-    diagonal blocks the deflation cut.
+                                                             Subspace]:
+    """Hyper-range of a square matrix and its orthogonal complement,
+    from the one deflation ``hyper_range`` runs over the finest exact
+    diagonal blocks of ``T``.
 
-    Both subspaces come out of the one deflation ``hyper_range`` runs. Per
-    diagonal block, the complement is spanned by the trailing left
-    singular vectors of its SVD of ``T^N`` (all of the block when the
-    block is strictly triangular or the guess is rejected),
-    lifted by the complement of the nested remainder when the nested
-    iteration runs. So the split costs one hyper-range, where
+    When every block is kept whole or dropped whole, as the von
+    Neumann--Wold split keeps a unitary block and drops a shift, both
+    halves are ``Subspace.coordinates`` of the kept and the dropped blocks,
+    and no dense basis is assembled. Otherwise the hyper-range's basis is
+    ``hyper_range``'s, bitwise, and per block the complement is spanned by
+    the trailing left singular vectors of its SVD of ``T^N`` (all of the
+    block when it is strictly triangular or the guess is rejected), lifted
+    by the complement of the nested remainder when the nested iteration
+    runs. So the split costs one hyper-range, where
     ``complement(hyper_range(t))`` adds a full n x n SVD. Bitwise equal
-    diagonal blocks (the three copies of the boundary unitary in the
-    weighted-boundary pair's first operator) are deflated once, at the
-    one global anchor, so the split is the one a deflation of every block
-    in turn gives.
-
-    The third value lists the finest exact diagonal blocks of ``T`` in
-    order, one ``(rows, cols)`` pair of slices each: the block is
-    ``T[rows, rows]``, and the hyper-range basis is zero outside the
-    rectangles ``[rows, cols]``, so block ``k`` owns columns ``cols`` of
-    it. A matrix of one block gives ``((slice(0, n), slice(0, h)),)``.
+    blocks are deflated once, at the one global anchor.
 
     ``_slices`` is for a caller that already holds ``_block_slices(t)``
     (a validated pair finds its first operator's blocks once); the matrix
@@ -297,9 +294,14 @@ def hyper_range_split(t, tol: float = 1e-10, *,
     m = as_matrix(t, "operator")
     if m.shape[0] != m.shape[1]:
         raise DomainError(f"square matrix required, got shape {m.shape}")
-    h_inf, perp, blocks = _deflated_range(
-        m, tol, _block_slices(m) if _slices is None else _slices)
-    return h_inf, Subspace(np.ascontiguousarray(perp)), blocks
+    slices = _block_slices(m) if _slices is None else _slices
+    splits = _deflated_blocks(m, tol, slices)
+    if all(h.shape[1] in (0, h.shape[0]) for h, _ in splits):
+        mask = np.concatenate([np.full(h.shape[0], h.shape[1] > 0)
+                               for h, _ in splits])
+        return Subspace.coordinates(mask), Subspace.coordinates(~mask)
+    return (Subspace(_lifted(slices, [h for h, _ in splits])),
+            Subspace(_lifted(slices, [perp for _, perp in splits])))
 
 
 def _nested_range(m: np.ndarray, cap: int, tol: float,
@@ -387,20 +389,17 @@ def _block_slices(m: np.ndarray) -> tuple:
                  for a, b in zip(np.r_[0, ends[:-1] + 1], ends))
 
 
-def _deflated_range(m: np.ndarray, tol: float,
-                    slices: tuple) -> tuple[Subspace, np.ndarray, tuple]:
-    """Hyper-range of a plain matrix by deflation, with a basis of its
-    orthogonal complement and the blocks; see ``hyper_range_split``.
+def _deflated_blocks(m: np.ndarray, tol: float, slices: tuple) -> list:
+    """Deflation of each diagonal block of ``m``: per slice of ``slices``
+    (``_block_slices(m)``), the block's hyper-range and a basis of its
+    complement, both at the block's size.
 
-    ``slices`` are ``_block_slices(m)``. A block-diagonal matrix is
-    deflated block by block, every cut anchored at the largest block norm,
-    and the bases are lifted by rows. Blocks with equal bytes are equal
-    matrices, so each distinct block is normed and deflated once.
+    A matrix of one block is deflated at its own norm. Otherwise every cut
+    is anchored at the largest block norm, and blocks with equal bytes are
+    equal matrices, so each distinct block is normed and deflated once.
     """
-    n = m.shape[0]
     if len(slices) == 1:
-        h_inf, perp = _deflated_block(m, tol, None)
-        return h_inf, perp, ((slice(0, n), slice(0, h_inf.dim)),)
+        return [_deflated_block(m, tol, None)]
     keys = [m[sl, sl].tobytes() for sl in slices]
     # the first block of each kind, in order of first appearance
     distinct = {}
@@ -409,17 +408,22 @@ def _deflated_range(m: np.ndarray, tol: float,
     norm = max(operator_norm(block) for block in distinct.values())
     deflated = {key: _deflated_block(block, tol, norm)
                 for key, block in distinct.items()}
-    splits = [deflated[key] for key in keys]
-    h_inf = np.zeros((n, sum(h.dim for h, _ in splits)), dtype=np.complex128)
-    perp = np.zeros((n, n - h_inf.shape[1]), dtype=np.complex128)
-    blocks = []
-    col_h = col_p = 0
-    for sl, (h, p) in zip(slices, splits):
-        h_inf[sl, col_h:col_h + h.dim] = h.basis
-        perp[sl, col_p:col_p + p.shape[1]] = p
-        blocks.append((sl, slice(col_h, col_h + h.dim)))
-        col_h, col_p = col_h + h.dim, col_p + p.shape[1]
-    return Subspace(h_inf), perp, tuple(blocks)
+    return [deflated[key] for key in keys]
+
+
+def _lifted(slices: tuple, bases: list) -> np.ndarray:
+    """The block-diagonal matrix of the per-block ``bases``, block ``k``
+    in rows ``slices[k]``; one block's basis is returned as it is, made
+    contiguous."""
+    if len(bases) == 1:
+        return np.ascontiguousarray(bases[0])
+    out = np.zeros((slices[-1].stop, sum(b.shape[1] for b in bases)),
+                   dtype=np.complex128)
+    col = 0
+    for sl, b in zip(slices, bases):
+        out[sl, col:col + b.shape[1]] = b
+        col += b.shape[1]
+    return out
 
 
 def _strictly_triangular(m: np.ndarray) -> bool:
@@ -428,9 +432,10 @@ def _strictly_triangular(m: np.ndarray) -> bool:
 
 
 def _deflated_block(m: np.ndarray, tol: float,
-                    norm: float | None) -> tuple[Subspace, np.ndarray]:
-    """Deflation of one diagonal block, every guard and cut at
-    ``tol * norm``; a ``norm`` of None is the block's own norm.
+                    norm: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of the hyper-range of one diagonal block and of its
+    complement, every guard and cut at ``tol * norm``; a ``norm`` of None
+    is the block's own norm.
 
     An exactly strictly triangular block is nilpotent: its hyper-range is
     ``{0}`` and its complement the identity, with no power, SVD or ladder
@@ -438,7 +443,7 @@ def _deflated_block(m: np.ndarray, tol: float,
     """
     n = m.shape[0]
     if _strictly_triangular(m):
-        return (Subspace(np.zeros((n, 0), dtype=np.complex128)),
+        return (np.zeros((n, 0), dtype=np.complex128),
                 np.eye(n, dtype=np.complex128))
     if norm is None:
         norm = operator_norm(m)
@@ -462,9 +467,9 @@ def _deflated_block(m: np.ndarray, tol: float,
         h, u, blocks = 0, np.eye(n, dtype=np.complex128), m
     c = blocks[h:, h:]
     if _certified_nilpotent(c, tol, norm):
-        return Subspace(np.ascontiguousarray(u[:, :h])), u[:, h:]
+        return u[:, :h], u[:, h:]
     rest = _nested_range(c, n - h + 1, tol, norm)
-    return (Subspace(np.hstack([u[:, :h], u[:, h:] @ rest.basis])),
+    return (np.hstack([u[:, :h], u[:, h:] @ rest.basis]),
             u[:, h:] @ complement(rest).basis)
 
 
@@ -551,7 +556,7 @@ def cnu_eigenvector_span_residual(s, grid) -> float:
     if op.domain.dim != op.codomain.dim:
         raise DomainError("square compression required")
     n = op.domain.dim
-    _, perp, _ = hyper_range_split(op.matrix)
+    _, perp = hyper_range_split(op.matrix)
     cnu = intersect(perp, Subspace.coordinates(op.window_mask()))
     pts = list(grid)
     if not pts:

@@ -21,8 +21,10 @@ Slocinski parts by intersecting and complementing the two full hyper-ranges
 hyper-ranges of the second operator's compressions to the first one's
 hyper-range and its complement, defect weights by one trace per
 autocorrelation term (``defect_weight_loop``, the library's former route)
-instead of one Gram matrix, and nonnegative least squares via scipy's
-active-set solver instead of projected gradients.
+instead of one Gram matrix, multiplier matrices one block at a time
+(``multiplier_loop``, the library's former route) instead of one indexed
+assignment, and nonnegative least squares via scipy's active-set solver
+instead of projected gradients.
 """
 
 from __future__ import annotations
@@ -377,3 +379,15 @@ def nnls_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, _ = scipy.optimize.nnls(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float).reshape(-1))
     return x
+
+
+def multiplier_loop(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Block-Toeplitz multiplier matrix filled block by block: block
+    ``(j + k, j)`` is ``coeffs[k]``, for input degrees ``j <= degree``."""
+    g, d = coeffs.shape[0] - 1, coeffs.shape[1]
+    m = np.zeros(((degree + g + 1) * d, (degree + 1) * d), dtype=np.complex128)
+    for j in range(degree + 1):
+        for k in range(g + 1):
+            i = j + k
+            m[i * d:(i + 1) * d, j * d:(j + 1) * d] = coeffs[k]
+    return m

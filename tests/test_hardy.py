@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from woldlab.hardy import (
     abstract_space,
@@ -11,6 +12,8 @@ from woldlab.hardy import (
 )
 from woldlab.linalg import gram_defect
 from woldlab.symbols import blaschke, constant, polynomial, taylor
+
+from oracles import multiplier_loop
 
 
 def test_hardy_space_layout():
@@ -119,3 +122,22 @@ def test_double_commutation_defect_frozen_values():
         < 1e-12
     got = double_commutation_defect(blaschke([0.5]), 12)
     assert abs(got - np.sqrt(3.0) / 2.0) < 1e-12
+
+
+_MULTIPLIER_SYMBOLS = {
+    "polynomial": lambda: polynomial([0.3, -0.2j, 0.25]),
+    "matrix-polynomial": lambda: polynomial(
+        [[[0.2, 0.1], [0.0, 0.3j]], [[0.1, 0.0], [0.2, -0.1]]]),
+    "blaschke": lambda: blaschke([0.35, -0.3j]),
+    "constant": lambda: constant(0.6j),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 5, 83])
+@pytest.mark.parametrize("name", sorted(_MULTIPLIER_SYMBOLS))
+def test_multiplier_matches_the_blockwise_loop_bitwise(name, degree):
+    sym = _MULTIPLIER_SYMBOLS[name]()
+    op = multiplier(sym, degree)
+    want = multiplier_loop(taylor(sym, op.growth), degree)
+    assert op.matrix.tobytes() == want.tobytes()
+    assert op.matrix.shape == (op.codomain.dim, op.domain.dim)

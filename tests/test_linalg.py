@@ -69,6 +69,31 @@ def test_coordinates_keeps_its_mask_beside_the_identity_columns():
     assert zero_subspace(4).mask is None
 
 
+@pytest.mark.parametrize("mask", [
+    [0, 2], np.array([0.0, 0.5]), [0, 1, 1, 0], np.array([1, 0], dtype=np.int8),
+], ids=["indices", "floats", "int-list", "int8"])
+def test_coordinates_refuses_a_mask_that_is_not_boolean(mask):
+    with pytest.raises(ValidationError, match="boolean, got dtype"):
+        Subspace.coordinates(mask)
+    # a list of bools is a mask
+    assert Subspace.coordinates([True, False, True]).dim == 2
+
+
+def test_coordinates_builds_identity_columns_without_the_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the orthonormality check ran")
+
+    monkeypatch.setattr(Subspace, "__post_init__", refuse)
+    rng = np.random.default_rng(10)
+    for n in (0, 1, 7, 40):
+        mask = rng.random(n) < 0.5
+        s = Subspace.coordinates(mask)
+        assert np.array_equal(s.basis, np.eye(n, dtype=np.complex128)[:, mask])
+        assert s.basis.dtype == np.complex128
+    with pytest.raises(AssertionError, match="orthonormality"):
+        Subspace(np.eye(3))
+
+
 def test_a_mask_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         Subspace(np.eye(3)[:, :2], mask=np.array([True, True, False]))
@@ -226,7 +251,7 @@ def test_a_hand_built_identity_probe_gives_the_coordinate_answers():
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
 
 
-def test_intersect_with_the_example_probe_takes_one_svd_of_the_rows_outside(
+def test_intersect_with_the_example_probe_takes_one_svd_of_a_h_b(
         monkeypatch):
     # a first operator whose mixed block [[e^{0.7i}, 0.6], [0, 0]] the
     # deflation keeps in part, so H is a dense basis beside the probe's mask
@@ -240,8 +265,11 @@ def test_intersect_with_the_example_probe_takes_one_svd_of_the_rows_outside(
     assert h_inf.mask is None and h_inf.dim == 4
     shapes = _recording_svd(monkeypatch)
     got = intersect(h_inf, probe)
-    assert shapes == [(probe.ambient_dim - probe.dim, h_inf.dim)]
+    # the cosine rule, with a^H b read by selecting the probe's rows
+    assert shapes == [(h_inf.dim, probe.dim)]
     assert got.dim == intersect_avg_projector(h_inf, probe).dim == 3
+    plain = intersect(h_inf, Subspace(probe.basis.copy()))
+    assert plain.dim == 3 and subspace_distance(got, plain) <= 1e-12
     # two coordinate subspaces meet in their masks' AND, with no SVD
     pair = construct_example(polynomial([0.5, 0.5]), 32)
     h_inf, probe = pair.split_1.h_inf, pair.probe

@@ -781,9 +781,22 @@ _SLOCINSKI_PAIRS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SLOCINSKI_PAIRS))
-def test_slocinski_matches_intersect_oracle(name):
+def test_slocinski_matches_intersect_oracle(name, monkeypatch):
     pair = _SLOCINSKI_PAIRS[name]()
+    pair.split_1  # cached before recording
+    real = woldlab.pairs.hyper_range_split
+    halves = []
+
+    def recording(t, *args, **kwargs):
+        halves.append(real(t, *args, **kwargs))
+        return halves[-1]
+
+    monkeypatch.setattr(woldlab.pairs, "hyper_range_split", recording)
     got = slocinski(pair)
+    # unscrambled, each half's blocks are kept or dropped whole
+    assert len(halves) == 2
+    assert all((half.mask is not None) == (not name.startswith("scrambled"))
+               for split in halves for half in split)
     want = slocinski_parts_intersect(pair)
     assert got.dims == {k: sub.dim for k, sub in want.items()}
     for key, sub in want.items():
@@ -961,15 +974,22 @@ def test_slocinski_computes_each_wandering_subspace_once(monkeypatch):
     calls = []
 
     def counting(t, *args, **kwargs):
-        calls.append((t.shape, t.tobytes()))
+        calls.append(t.copy())
         return real(t, *args, **kwargs)
 
     monkeypatch.setattr(woldlab.pairs, "wandering_subspace", counting)
     sl = slocinski(pair)
-    nonempty = sum(1 for d in sl.dims.values() if d)
-    assert nonempty == 4
-    assert len(calls) == 2 * nonempty
-    assert len(set(calls)) == len(calls)
+    assert all(sl.dims.values())
+    # two calls per part, in part order: its compressions of S1 and S2
+    assert len(calls) == 2 * len(sl.parts)
+    for k, sub in enumerate(sl.parts.values()):
+        for got, m in zip(calls[2 * k:2 * k + 2],
+                          (pair.s1.matrix, pair.s2.matrix)):
+            assert np.array_equal(got, sub.basis.conj().T @ m @ sub.basis)
+    # the parts are exact, so the us part's S2 compression and the su
+    # part's S1 compression are one truncated shift, byte for byte
+    z = compress(shift(1, 6)).matrix.astype(np.complex128)
+    assert calls[3].tobytes() == calls[4].tobytes() == z.tobytes()
 
 
 def test_pair_computes_its_first_unitary_part_once(monkeypatch):

@@ -47,3 +47,15 @@ def test_numbers_differ_relatively_and_anything_else_mismatches():
                   {"r": new["r"], "verdict": False}):
         with pytest.raises(tool.Mismatch):
             tool._diff(old, other, "report")
+
+
+def test_a_case_named_in_only_runs_its_one_command():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--case",
+         "four-block-12-16", "--command", "wold", "slocinski"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "four-block-12-16/slocinski: exit 0/0 stdout same stderr same",
+        "0 failing line(s); largest relative difference 0 over 1 files"]

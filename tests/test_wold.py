@@ -370,11 +370,23 @@ def test_hyper_range_split_complement_matches_complement_oracle(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(wold, "_nested_range", counting)
-    h_inf, perp, _ = wold.hyper_range_split(t)
+    h_inf, perp = wold.hyper_range_split(t)
     assert bool(runs) is nested
-    assert np.array_equal(h_inf.basis, hyper_range(t).basis)
+    _assert_split_is_hyper_range(t, h_inf)
     assert h_inf.dim + perp.dim == t.shape[0]
     assert subspace_distance(perp, complement(h_inf)) <= 1e-12
+
+
+def _assert_split_is_hyper_range(t, h_inf):
+    """The split's ``H`` against ``hyper_range``: a dense basis equal to its
+    basis bitwise, a mask equal to its basis's row support and within
+    1e-12 of it."""
+    want = hyper_range(t)
+    if h_inf.mask is None:
+        assert np.array_equal(h_inf.basis, want.basis)
+        return
+    assert np.array_equal(h_inf.mask, np.any(want.basis != 0, axis=1))
+    assert subspace_distance(h_inf, want) <= 1e-12
 
 
 _STRICTLY_LOWER = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
@@ -500,7 +512,7 @@ _BLOCK_SPLIT_INPUTS = {
 @pytest.mark.parametrize("name", sorted(_BLOCK_SPLIT_INPUTS))
 def test_block_split_matches_nested_oracle(name):
     t = _BLOCK_SPLIT_INPUTS[name]()
-    h_inf, perp, _ = wold.hyper_range_split(t)
+    h_inf, perp = wold.hyper_range_split(t)
     want = hyper_range_nested(t)
     assert h_inf.dim == want.dim
     assert perp.dim == t.shape[0] - want.dim
@@ -508,24 +520,75 @@ def test_block_split_matches_nested_oracle(name):
     assert subspace_distance(perp, complement(want)) <= 1e-12
 
 
+def _owned_columns(t):
+    """The finest diagonal blocks of ``t`` and, per block, the number of
+    columns of ``hyper_range``'s basis it owns: consecutive columns, in
+    block order, each zero outside the block's rows."""
+    basis = hyper_range(t).basis
+    slices = wold._block_slices(t)
+    owner = np.array([next(k for k, rows in enumerate(slices)
+                           if np.any(basis[rows, j]))
+                      for j in range(basis.shape[1])], dtype=int)
+    assert np.all(np.diff(owner) >= 0)
+    for k, rows in enumerate(slices):
+        outside = np.ones(t.shape[0], dtype=bool)
+        outside[rows] = False
+        assert not np.any(basis[outside][:, owner == k])
+    return slices, np.bincount(owner, minlength=len(slices))
+
+
 @pytest.mark.parametrize("name", sorted(_BLOCK_SPLIT_INPUTS))
 def test_block_split_lists_the_blocks_that_own_the_basis(name):
     t = _BLOCK_SPLIT_INPUTS[name]()
     n = t.shape[0]
-    h_inf, _, blocks = wold.hyper_range_split(t)
-    # the rows tile 0..n in order, and the owned columns tile 0..dim H
-    for k, total in ((0, n), (1, h_inf.dim)):
-        bounds = [(b[k].start, b[k].stop) for b in blocks]
-        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
-        assert bounds[-1][1] == total
-    owned = np.zeros(h_inf.basis.shape, dtype=bool)
-    for rows, cols in blocks:
-        owned[rows, cols] = True
+    slices, _ = _owned_columns(t)
+    # the rows tile 0..n in order
+    bounds = [(rows.start, rows.stop) for rows in slices]
+    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+    assert bounds[-1][1] == n
+    for rows in slices:
         off = np.ones(n, dtype=bool)
         off[rows] = False
         # nothing links a block to the rest: it is a diagonal block
         assert not np.any(t[rows][:, off]) and not np.any(t[off][:, rows])
-    assert not np.any(h_inf.basis[~owned])
+
+
+def _mixed_block_sum():
+    # the middle block [[e^{0.7i}, 0.6], [0, 0]] is kept in part
+    mixed = np.array([[np.exp(0.7j), 0.6], [0.0, 0.0]])
+    return sla.block_diag(_haar_unitary(np.random.default_rng(15), 2), mixed,
+                          np.eye(3, k=-1))
+
+
+_SPLIT_KIND_INPUTS = {
+    **_BLOCK_SPLIT_INPUTS,
+    "tensor": lambda: tensor_shift_pair(4, 4).s1.matrix,
+    "four-block-adjoint": lambda: four_block_pair(0)[0].s1.matrix.conj().T,
+    "mixed-block-sum": _mixed_block_sum,
+    "three-part": lambda: three_part_pair(0)[0].s1.matrix,
+    "leaky-guess-plus-jordan": _leaky_guess_plus_jordan,
+    "unitary-plus-jordan": lambda: _unitary_plus_jordan(24, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_KIND_INPUTS))
+def test_split_halves_are_coordinates_exactly_when_every_block_is_whole(
+        name):
+    t = _SPLIT_KIND_INPUTS[name]()
+    slices, owned = _owned_columns(t)
+    whole = all(k in (0, rows.stop - rows.start)
+                for k, rows in zip(owned, slices))
+    assert whole == (name not in ("mixed-block-sum", "three-part",
+                                  "leaky-guess-plus-jordan",
+                                  "unitary-plus-jordan"))
+    h_inf, perp = wold.hyper_range_split(t)
+    assert (h_inf.mask is not None) == (perp.mask is not None) == whole
+    _assert_split_is_hyper_range(t, h_inf)
+    if whole:
+        assert np.array_equal(perp.mask, ~h_inf.mask)
+        # identity columns, built without the orthonormality check
+        assert np.array_equal(perp.basis, np.eye(t.shape[0])[:, perp.mask])
+    assert subspace_distance(perp, complement(h_inf)) <= 1e-12
 
 
 @pytest.mark.parametrize("make, sizes", [
@@ -576,14 +639,16 @@ def test_equal_blocks_deflated_once_give_the_blockwise_split_bitwise(make):
     # every block deflated in turn at the global norm, lifted by rows
     splits = [wold._deflated_block(t[sl, sl], 1e-10, norm) for sl in slices]
     assert len({t[sl, sl].tobytes() for sl in slices}) < len(slices)
-    want_h = sla.block_diag(*(h.basis for h, _ in splits))
+    want_h = sla.block_diag(*(h for h, _ in splits))
     want_perp = sla.block_diag(*(p for _, p in splits))
-    h_inf, perp, blocks = wold.hyper_range_split(t)
-    assert np.array_equal(h_inf.basis, want_h)
+    assert np.array_equal(hyper_range(t).basis, want_h)
+    # every block is kept or dropped whole: the split is the blocks' mask,
+    # and each dropped block's complement was identity columns already
+    h_inf, perp = wold.hyper_range_split(t)
+    kept = np.concatenate([np.full(sl.stop - sl.start, h.shape[1] > 0)
+                           for sl, (h, _) in zip(slices, splits)])
+    assert np.array_equal(h_inf.mask, kept)
     assert np.array_equal(perp.basis, want_perp)
-    assert [rows for rows, _ in blocks] == list(slices)
-    assert [cols.stop - cols.start for _, cols in blocks] == \
-        [h.dim for h, _ in splits]
 
 
 _TRIANGULAR_INPUTS = {
@@ -616,14 +681,14 @@ def test_strictly_triangular_blocks_are_not_deflated(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     if one_block:
         monkeypatch.setattr(wold, "operator_norm", refuse)
-    h_inf, perp, _ = wold.hyper_range_split(t)
+    h_inf, perp = wold.hyper_range_split(t)
     monkeypatch.undo()
     # only the unitary block of the last input is factored
     assert all(max(shape) <= 3 for shape in shapes)
     assert whole == (not shapes)
     # bitwise what the nilpotency certificate returns with the rule bypassed
     monkeypatch.setattr(wold, "_strictly_triangular", lambda m: False)
-    want_h, want_perp, _ = wold.hyper_range_split(t)
+    want_h, want_perp = wold.hyper_range_split(t)
     assert np.array_equal(h_inf.basis, want_h.basis)
     assert np.array_equal(perp.basis, want_perp.basis)
     assert h_inf.dim == hyper_range_nested(t).dim

@@ -21,7 +21,9 @@ Exit status 0 when nothing mismatches and no difference exceeds ``TOL``
 ``CASES`` is a chosen spread of configs (the example symbols, a generic
 polynomial symbol, level lists up to degree 48, a loose tolerance, atoms
 and the other fixtures). It is its own list, not a mirror of the configs
-of the command-line tests.
+of the command-line tests. Every case runs every command, except the
+cases ``ONLY`` names: those run the one command their sizes are for (the
+benchmark's ``wold`` levels, and a larger Slocinski four-block pair).
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ CASES = {
     "generic-32-48": {"symbol": {"kind": "polynomial",
                                  "coeffs": [[0.3, 0], [0, 0.2], [-0.25, 0]]},
                       "levels": [32, 48]},
+    "wold-64-112": {"levels": [64, 112], "unitary_dim": 3},
+    "four-block-12-16": {"fixture": "four-block", "levels": [12, 16]},
 }
+ONLY = {"wold-64-112": "wold", "four-block-12-16": "slocinski"}
 
 
 class Mismatch(Exception):
@@ -132,6 +137,8 @@ def compare(old: str, new: str, cases, commands,
     failures, largest, files = 0, 0.0, 0
     for case in cases:
         for command in commands:
+            if ONLY.get(case, command) != command:
+                continue
             runs = [_run(tree, os.path.join(work, side, case, command),
                          command, CASES[case])
                     for side, tree in (("old", old), ("new", new))]
