@@ -265,6 +265,46 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
 
+# relative slack on both Frobenius bounds of _norm_at_most: thousands of
+# times the rounding of either norm (about 1e-15 measured on rank-one and
+# isometric inputs), so a bound never decides against the SVD
+_BOUND_SLACK = 1e-12
+
+
+def _norm_at_most(a, bound: float) -> bool:
+    """Whether ``operator_norm(a) <= bound``, decided by the cheapest
+    sufficient bound; for a stack of matrices every one must pass.
+
+    ``||A||_F / sqrt(r) <= ||A||_2 <= ||A||_F`` with ``r = min(m, d)``
+    (Golub--Van Loan, Matrix Computations, 2.3): the answer is True when
+    every Frobenius norm is at most the bound and False when some
+    ``||A||_F / sqrt(r)`` exceeds it, each by the relative slack
+    ``_BOUND_SLACK``. Only in the band between does the SVD decide. Each
+    Frobenius norm is taken on the matrix scaled by its largest entry, so
+    a tiny matrix does not underflow to a zero norm. A NaN entry decides
+    neither bound and reaches the SVD, so it never passes.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return 0.0 <= bound
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    top = np.where(top > 0.0, top, 1.0)
+    fro = top[..., 0, 0] * np.linalg.norm(a / top, axis=(-2, -1))
+    if np.all(fro * (1.0 + _BOUND_SLACK) <= bound):
+        return True
+    rank = min(a.shape[-2:])
+    if np.any(fro > bound * (1.0 + _BOUND_SLACK) * np.sqrt(rank)):
+        return False
+    return operator_norm(a) <= bound
+
+
+def _gram_residual(a) -> np.ndarray:
+    """``A^H A - I``, per matrix of a stack, as a complex array."""
+    a = np.asarray(a)
+    return np.asarray(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]),
+                      dtype=np.complex128)
+
+
 def gram_defect(a) -> float:
     """``||A^H A - I||`` in operator norm; 0.0 when ``a`` has no columns.
 
@@ -273,9 +313,7 @@ def gram_defect(a) -> float:
     a = np.asarray(a)
     if a.shape[-1] == 0:
         return 0.0
-    g = np.asarray(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]),
-                   dtype=np.complex128)
-    return float(np.linalg.norm(g, 2, axis=(-2, -1)).max())
+    return float(np.linalg.norm(_gram_residual(a), 2, axis=(-2, -1)).max())
 
 
 def unitarity_defect(u) -> float:
@@ -363,7 +401,10 @@ def pivoted_cholesky(gram, cutoff: float = 1e-12) -> np.ndarray:
 
     Greedy diagonal pivoting; stops when the largest remaining diagonal
     residual is at or below ``cutoff``. Small negative residuals (roundoff,
-    down to -1e-10) are tolerated; anything worse raises.
+    down to -1e-10) are tolerated; anything worse raises. The input must
+    be Hermitian to within ``1e-10 * max(1, ||G||)`` in operator norm; a
+    skew part ``G - G^H`` within 1e-10 passes by ``_norm_at_most``, with
+    no norm of ``G``, and only a larger one takes both exact norms.
 
     Returns the factor whose column j holds the coordinates of the j-th
     input vector in an orthonormal basis of the span.
@@ -372,7 +413,10 @@ def pivoted_cholesky(gram, cutoff: float = 1e-12) -> np.ndarray:
     n = g.shape[0]
     if g.shape[0] != g.shape[1]:
         raise DimensionError("gram matrix must be square")
-    if operator_norm(g - g.conj().T) > 1e-10 * max(1.0, operator_norm(g)):
+    skew = g - g.conj().T
+    # max(1, ||G||) >= 1: a skew part within 1e-10 passes with no norm of G
+    if not _norm_at_most(skew, 1e-10) and \
+            operator_norm(skew) > 1e-10 * max(1.0, operator_norm(g)):
         raise ValidationError("gram matrix is not Hermitian")
     d = np.real(np.diag(g)).copy()
     rows = np.zeros((n, n), dtype=np.complex128)

@@ -57,6 +57,8 @@ from .linalg import (
     _adjoint_times,
     _basis_times,
     _block_kernels,
+    _gram_residual,
+    _norm_at_most,
     _times_basis,
     complement,
     gram_defect,
@@ -68,7 +70,6 @@ from .linalg import (
     pivoted_cholesky,
     reducing_residual,
     unimodular_clusters,
-    unitarity_defect,
     zero_subspace,
 )
 from .symbols import SchurSymbol, blaschke, defect_weight
@@ -239,17 +240,20 @@ class OperatorPair:
 
 @dataclass(frozen=True, eq=False)
 class _BatteryTail:
-    """The arrays ``r_iv`` and ``r_v`` read, and the seed of the samples.
+    """What ``r_iv`` and ``r_v`` read, and the seed of the samples.
 
-    Arrays only: a report that held its pair would close the cycle pair,
+    Arrays and the split's two subspaces only, none of which references
+    the pair: a report that held its pair would close the cycle pair,
     cached report, pair, and keep both alive until a garbage collection.
-    ``cross`` is ``B = Q^H S2 Q_perp`` and ``degs`` the coordinate degrees.
+    ``h_inf`` and ``h_perp`` are ``H`` and ``H^perp`` as the split holds
+    them, coordinate subspaces on every block-sum fixture; ``cross`` is
+    ``B = Q^H S2 Q_perp`` and ``degs`` the coordinate degrees.
     """
 
     m1: np.ndarray
     m2: np.ndarray
-    q: np.ndarray
-    q_perp: np.ndarray
+    h_inf: Subspace
+    h_perp: Subspace
     cross: np.ndarray
     degs: np.ndarray
     seed: int
@@ -269,8 +273,12 @@ class VerdictReport:
     reported for inspection only.
 
     No verdict reads ``r_iv`` or ``r_v``, so both are computed on first
-    read, from the arrays in ``tail``, and cached; the samples ``r_iv``
-    reads are drawn then, from the battery's seed.
+    read, from what ``tail`` holds, and cached; the samples ``r_iv`` reads
+    are drawn then, from the battery's seed. ``r_v`` reads ``B`` on the
+    coordinates of ``H^perp`` of degree at most each cap: by column
+    selection when ``H^perp`` is a coordinate subspace, and otherwise as
+    ``B`` times the masked columns of ``Q_perp^H``, reduced by their R
+    factor to at most ``n - dim H`` columns. Both keep the singular values.
     """
 
     e_subspace: Subspace
@@ -303,7 +311,7 @@ class VerdictReport:
             for _ in range(self.levels[-1]):
                 v = m1h @ v
                 vecs.append(v)
-            krylov.append(t.q.conj().T @ np.column_stack(vecs))
+            krylov.append(_adjoint_times(t.h_inf, np.column_stack(vecs)))
         r_iv: list = []
         for cap in self.levels:
             dims_at_level = []
@@ -320,16 +328,20 @@ class VerdictReport:
     @cached_property
     def r_v(self) -> list:
         t = self.tail
-        n = t.q_perp.shape[0]
+        perp = t.h_perp
         r_v: list = []
         for cap in self.levels:
-            cols = t.q_perp.conj().T[:, t.degs <= cap]
-            if cols.shape[1] > cols.shape[0]:
-                cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
-            s = np.linalg.svd(t.cross @ cols, compute_uv=False)
+            if perp.mask is not None:
+                block = t.cross[:, (t.degs <= cap)[perp.mask]]
+            else:
+                cols = perp.basis.conj().T[:, t.degs <= cap]
+                if cols.shape[1] > cols.shape[0]:
+                    cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
+                block = t.cross @ cols
+            s = np.linalg.svd(block, compute_uv=False)
             # the masked n x n block P S2 (I - P) D has n singular values,
-            # the ones the R factor leaves out being zero
-            top5 = np.zeros(min(5, n))
+            # the ones the selection or the R factor leaves out being zero
+            top5 = np.zeros(min(5, perp.ambient_dim))
             top5[:min(5, s.size)] = s[:5]
             r_v.append([float(x) for x in top5])
         return r_v
@@ -651,9 +663,9 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     which has the same norms and singular values, and the off-diagonal
     blocks of ``S2`` are ``Q_perp^H S2 Q`` (``red_out``) and
     ``B = Q^H S2 Q_perp`` (``red_in``), each a submatrix of ``S2`` for a
-    coordinate split, read by ``_times_basis`` and ``_adjoint_times``. ``r_v`` reads ``B`` times the masked columns of
-    ``Q_perp^H``, reduced by their R factor to at most ``n - dim H``
-    columns, which keeps the singular values.
+    coordinate split, read by ``_times_basis`` and ``_adjoint_times``.
+    ``r_v`` reads ``B`` on the low-degree coordinates of ``H^perp``
+    (``VerdictReport``).
 
     ``iso`` is the Gram defect of ``Q^H S2 X`` and ``dc`` the norm of
     ``S1^H (S2 X) - S2 (S1^H X)``, formed by ``_commutator_images``: by
@@ -688,7 +700,7 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
         e_subspace=e_sub, r_i=float(r_i), r_ii=float(r_ii),
         r_iii=float(r_iii), levels=_level_caps(top, _N_LEVELS),
         verdict=verdict, vacuous=vacuous,
-        tail=_BatteryTail(m1=m1, m2=m2, q=h_inf.basis, q_perp=h_perp.basis,
+        tail=_BatteryTail(m1=m1, m2=m2, h_inf=h_inf, h_perp=h_perp,
                           cross=cross, degs=degs, seed=seed),
     )
 
@@ -698,21 +710,37 @@ def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
     """Apply ``step`` repeatedly, stopping before leaving the probe.
 
     Returns the rungs as one stack of shape ``(k, n, w)``; an empty start
-    gives an empty stack. All ``cap`` applications are stacked first, and
-    the ladder is cut before the first rung whose leak ``||x - P x||``
-    exceeds ``1e-8 ||x||``, both norms taken over the stack at once.
+    gives an empty stack. Rung ``k + 1`` is ``step`` times rung ``k``, for
+    at most ``cap`` applications, and the ladder is cut before the first
+    rung whose leak ``||x - P x||`` exceeds ``1e-8 ||x||``. The rungs are
+    built and checked in chunks of 1, 2, 4, ... rungs, the norms of a
+    chunk taken at once (vector norms for one-column rungs), and no rung
+    past the first chunk that holds an escape is built.
     """
     if start.dim == 0:
         return np.zeros((0, start.ambient_dim, 0), dtype=np.complex128)
     rungs = np.empty((cap + 1, *start.basis.shape), dtype=np.complex128)
     rungs[0] = start.basis
-    for k in range(cap):
-        rungs[k + 1] = step @ rungs[k]
     q = probe.basis
-    leak = np.linalg.norm(rungs - q @ (q.conj().T @ rungs), 2, axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(rungs, 2, axis=(-2, -1)), 1e-30)
-    escaped = np.flatnonzero(leak[1:] / scale[1:] > 1e-8)
-    return rungs[:escaped[0] + 1] if escaped.size else rungs
+    qh = q.conj().T
+    built, size = 1, 1
+    while built <= cap:
+        stop = min(built + size, cap + 1)
+        for k in range(built, stop):
+            rungs[k] = step @ rungs[k - 1]
+        chunk = rungs[built:stop]
+        leaked = chunk - q @ (qh @ chunk)
+        if chunk.shape[-1] == 1:
+            leak = np.linalg.norm(leaked[..., 0], axis=-1)
+            scale = np.linalg.norm(chunk[..., 0], axis=-1)
+        else:
+            leak = np.linalg.norm(leaked, 2, axis=(-2, -1))
+            scale = np.linalg.norm(chunk, 2, axis=(-2, -1))
+        escaped = np.flatnonzero(leak / np.maximum(scale, 1e-30) > 1e-8)
+        if escaped.size:
+            return rungs[:built + escaped[0]]
+        built, size = stop, 2 * size
+    return rungs
 
 
 def model_decomposition(p: OperatorPair) -> ModelDecomposition:
@@ -726,7 +754,9 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     the ladder ``E`` that the first operator grows from its wandering
     subspace there, the compression ``E^H S2 E`` is block Toeplitz: its
     first block column holds the multiplier's coefficients, and its block
-    diagonals are checked against them.
+    diagonals are checked against them. Trailing coefficients of norm at
+    most 1e-9 are dropped, each decided by ``_norm_at_most``. Both ladders
+    stop at their first rung that leaves the probe (``_trusted_ladder``).
 
     Raises
     ------
@@ -757,7 +787,7 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     # block (i, j) of the compression E^H S2 E is rung_i^H S2 rung_j
     g = e_lad.conj().swapaxes(1, 2)[:, None] @ s2e
     keep = k_e
-    while keep > 1 and operator_norm(g[keep - 1, 0]) <= 1e-9:
+    while keep > 1 and _norm_at_most(g[keep - 1, 0], 1e-9):
         keep -= 1
     # the first block column, sliced so an empty ladder gives no blocks
     coeffs = g[:keep, :1].reshape(keep, e_dim, e_dim)
@@ -800,8 +830,10 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     the parts are still held as dense identity columns. This
     yields the parts on which (first, second) act as (unitary, unitary),
     (unitary, shift), (shift, unitary), and (shift, shift); an empty half
-    yields two empty parts. Each part is labeled by
-    measured unitarity defects, its shift coordinates get wandering fiber
+    yields two empty parts. Each part is labeled by its unitarity
+    defects: an operator is unitary on it when both Gram defects of its
+    compression are at most 1e-8, each decided by ``_norm_at_most``, and
+    its shift coordinates get wandering fiber
     dimensions, and mixed parts report the constant compression of their
     unitary coordinate on the other coordinate's wandering subspace. The
     reduction residual is measured against the full operators, so a half
@@ -843,7 +875,8 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
                            *reducing_residual(m2, sub))
         # the compressions to the part, and everything read off them
         c1, c2 = (sub.basis.conj().T @ m @ sub.basis for m in (m1, m2))
-        role = tuple("unitary" if unitarity_defect(c) <= 1e-8 else "shift"
+        role = tuple("unitary" if all(_norm_at_most(_gram_residual(x), 1e-8)
+                                      for x in (c, c.conj().T)) else "shift"
                      for c in (c1, c2))
         w1, w2 = wandering_subspace(c1), wandering_subspace(c2)
         labels[key] = role

@@ -23,6 +23,7 @@ from .errors import DomainError, ValidationError
 from .hardy import GradedOperator, abstract_space
 from .linalg import (
     Subspace,
+    _norm_at_most,
     as_matrix,
     complement,
     gram_defect,
@@ -106,7 +107,15 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     orthonormal basis, and the unitary part is its complement.
 
     The first block is the complement of the joint kernel of the two
-    defects, ``kernel(I - T^H T) & kernel(I - T T^H)``. Each round stacks
+    defects, ``kernel(I - T^H T) & kernel(I - T T^H)``. When both defects
+    have operator norm at most ``tol`` (``_norm_at_most``, decided by their
+    Frobenius norms first), each kernel is the whole space under
+    ``kernel``'s ``tol * max(1, s_max)`` cut, so the first block is empty
+    and the unitary part is the whole space: the kernels, their
+    intersection and its complement are not computed, and the result is
+    the one they give. An exactly unitary ``T``, such as the compression
+    of an isometry to its hyper-range (von Neumann--Wold), takes this
+    path. Otherwise each round stacks
     ``[T F, T^H F]`` for the newest block ``F`` and makes two cuts:
 
     1. the stack keeps its singular directions above ``tol * ||T||``; the
@@ -158,9 +167,14 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
         raise DomainError(f"not a contraction: operator norm {norm:.12g}")
     n = m.shape[0]
     eye = np.eye(n)
-    start = intersect(kernel(eye - m.conj().T @ m, tol),
-                      kernel(eye - m @ m.conj().T, tol), tol)
-    block = complement(start).basis
+    defects = (eye - m.conj().T @ m, eye - m @ m.conj().T)
+    if all(_norm_at_most(d, tol) for d in defects):
+        # both kernels, and so the start, are the whole space
+        block = np.zeros((n, 0), dtype=np.complex128)
+    else:
+        start = intersect(kernel(defects[0], tol), kernel(defects[1], tol),
+                          tol)
+        block = complement(start).basis
     basis = block
     cut = np.sqrt(2.0 * tol)
     rounds = 0
@@ -334,32 +348,45 @@ def _certified_nilpotent(c: np.ndarray, tol: float, scale: float) -> bool:
     the first block is ``ker(c^H)``, the left singular directions of ``c``
     at or below the cut ``tol * scale``; each next block is ``c B_j`` for
     the newest block ``B_j``, with the basis so far projected out twice and
-    cut at the same level. The certificate holds only if the ladder basis
-    ``Q`` spans the space and ``Q^H c Q`` is strictly block lower triangular
-    to within the cut, measured as one operator norm of its masked upper
-    part: then ``c`` lies within the cut of a nilpotent matrix. It is sound
-    but not complete; a non-normal nilpotent ``c`` can fail it.
+    cut at the same level. A one-column block is cut by its vector norm,
+    its one singular value, and normalized, with no SVD. The basis is
+    filled in place, one block of columns after another. The certificate
+    holds only if the ladder basis ``Q`` spans the space and ``Q^H c Q`` is
+    strictly block lower triangular to within the cut, decided for its
+    masked upper part by ``_norm_at_most``: then ``c`` lies within the cut
+    of a nilpotent matrix. It is sound but not complete; a non-normal
+    nilpotent ``c`` can fail it.
     """
     n = c.shape[0]
     cut = tol * scale
     u, s, _ = np.linalg.svd(c)
     block = u[:, s <= cut]
-    basis = block
-    widths = [block.shape[1]]
-    while block.shape[1] and basis.shape[1] < n:
+    basis = np.empty((n, n), dtype=np.complex128, order="F")
+    filled = block.shape[1]
+    basis[:, :filled] = block
+    widths = [filled]
+    while block.shape[1] and filled < n:
+        done = basis[:, :filled]
         grown = c @ block
         for _ in range(2):
-            grown = grown - basis @ (basis.conj().T @ grown)
-        u, s, _ = np.linalg.svd(grown, full_matrices=False)
-        block = u[:, s > cut]
-        basis = np.hstack([basis, block])
+            grown = grown - done @ (done.conj().T @ grown)
+        if grown.shape[1] == 1:
+            norm = np.linalg.norm(grown)
+            block = grown / norm if norm > cut else grown[:, :0]
+        else:
+            u, s, _ = np.linalg.svd(grown, full_matrices=False)
+            block = u[:, s > cut]
+        if filled + block.shape[1] > n:
+            return False
+        basis[:, filled:filled + block.shape[1]] = block
+        filled += block.shape[1]
         widths.append(block.shape[1])
-    if basis.shape[1] != n:
+    if filled != n:
         return False
     labels = np.repeat(np.arange(len(widths)), widths)
     upper = labels[:, None] <= labels[None, :]
-    return operator_norm(np.where(upper, basis.conj().T @ c @ basis,
-                                  0.0)) <= cut
+    return _norm_at_most(np.where(upper, basis.conj().T @ c @ basis, 0.0),
+                         cut)
 
 
 def _diagonal_blocks(m: np.ndarray) -> np.ndarray:
@@ -440,6 +467,8 @@ def _deflated_block(m: np.ndarray, tol: float,
     An exactly strictly triangular block is nilpotent: its hyper-range is
     ``{0}`` and its complement the identity, with no power, SVD or ladder
     and no norm. Every other block has a nonzero entry, so ``norm > 0``.
+    The guess's invariance leak test ``||blocks[h:, :h]|| <= tol * norm``
+    prints no value, so ``_norm_at_most`` takes it.
     """
     n = m.shape[0]
     if _strictly_triangular(m):
@@ -462,7 +491,7 @@ def _deflated_block(m: np.ndarray, tol: float,
         blocks = u.conj().T @ m @ u
         smallest = np.linalg.svd(blocks[:h, :h], compute_uv=False)[-1]
         kept = smallest > 10.0 * tol * norm \
-            and operator_norm(blocks[h:, :h]) <= tol * norm
+            and _norm_at_most(blocks[h:, :h], tol * norm)
     if not kept:
         h, u, blocks = 0, np.eye(n, dtype=np.complex128), m
     c = blocks[h:, h:]

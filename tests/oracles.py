@@ -23,23 +23,33 @@ hyper-range and its complement, defect weights by one trace per
 autocorrelation term (``defect_weight_loop``, the library's former route)
 instead of one Gram matrix, multiplier matrices one block at a time
 (``multiplier_loop``, the library's former route) instead of one indexed
-assignment, and nonnegative least squares via scipy's active-set solver
-instead of projected gradients.
+assignment, nonnegative least squares via scipy's active-set solver
+instead of projected gradients, and the library's former routes of four
+routines that now decide by bounds first or stop early: trusted ladders
+from all candidate rungs normed by SVD (``trusted_ladder_all_rungs``),
+the nilpotency certificate with one SVD per rung and a grown ``hstack``
+basis (``certified_nilpotent_hstack``), the unitary part from its kernel
+start on every input (``unitary_part_kernel_start``), and ``r_v`` through
+the R factor of the dense masked columns of ``Q_perp^H`` (``r_v_dense``).
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.optimize
 
 from woldlab.linalg import (Subspace, as_matrix, complement, full_subspace,
                             gram_defect, intersect, kernel, operator_norm,
-                            orthonormalize, subspace_distance,
+                            orthonormalize, reducing_residual,
+                            subspace_distance, unitarity_defect,
                             zero_subspace)
 from woldlab.pairs import OperatorPair, VerdictReport, _level_caps
 from woldlab.symbols import (MomentSequence, SchurSymbol,
                              blaschke_required_order, evaluate, taylor)
-from woldlab.wold import hyper_range, wandering_subspace
+from woldlab.wold import (CanonicalDecomposition, hyper_range,
+                          wandering_subspace)
 
 
 def intersect_avg_projector(a: Subspace, b: Subspace,
@@ -391,3 +401,109 @@ def multiplier_loop(coeffs: np.ndarray, degree: int) -> np.ndarray:
             i = j + k
             m[i * d:(i + 1) * d, j * d:(j + 1) * d] = coeffs[k]
     return m
+
+
+def trusted_ladder_all_rungs(step: np.ndarray, start: Subspace,
+                             probe: Subspace, cap: int) -> np.ndarray:
+    """The trusted ladder from all ``cap + 1`` candidate rungs, the
+    library's former route: every rung is built, and the leak and scale
+    of each are operator norms taken over the whole stack at once."""
+    if start.dim == 0:
+        return np.zeros((0, start.ambient_dim, 0), dtype=np.complex128)
+    rungs = np.empty((cap + 1, *start.basis.shape), dtype=np.complex128)
+    rungs[0] = start.basis
+    for k in range(cap):
+        rungs[k + 1] = step @ rungs[k]
+    q = probe.basis
+    leak = np.linalg.norm(rungs - q @ (q.conj().T @ rungs), 2, axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(rungs, 2, axis=(-2, -1)), 1e-30)
+    escaped = np.flatnonzero(leak[1:] / scale[1:] > 1e-8)
+    return rungs[:escaped[0] + 1] if escaped.size else rungs
+
+
+def certified_nilpotent_hstack(c: np.ndarray, tol: float,
+                               scale: float) -> bool:
+    """The nilpotency certificate, the library's former route: one SVD
+    per rung, the ladder basis grown by ``hstack``, and the final test one
+    operator norm of the masked upper part of ``Q^H c Q``."""
+    n = c.shape[0]
+    cut = tol * scale
+    u, s, _ = np.linalg.svd(c)
+    block = u[:, s <= cut]
+    basis = block
+    widths = [block.shape[1]]
+    while block.shape[1] and basis.shape[1] < n:
+        grown = c @ block
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        block = u[:, s > cut]
+        basis = np.hstack([basis, block])
+        widths.append(block.shape[1])
+    if basis.shape[1] != n:
+        return False
+    labels = np.repeat(np.arange(len(widths)), widths)
+    upper = labels[:, None] <= labels[None, :]
+    return operator_norm(np.where(upper, basis.conj().T @ c @ basis,
+                                  0.0)) <= cut
+
+
+def unitary_part_kernel_start(t, tol: float = 1e-10) -> CanonicalDecomposition:
+    """``wold.unitary_part`` by the library's former route: the first
+    block is always the complement of ``kernel(I - T^H T) &
+    kernel(I - T T^H)``, with no shortcut for a unitary ``T``."""
+    m = as_matrix(t, "contraction")
+    norm = operator_norm(m)
+    n = m.shape[0]
+    eye = np.eye(n)
+    start = intersect(kernel(eye - m.conj().T @ m, tol),
+                      kernel(eye - m @ m.conj().T, tol), tol)
+    block = complement(start).basis
+    basis = block
+    cut = np.sqrt(2.0 * tol)
+    rounds = 0
+    while block.shape[1] and basis.shape[1] < n:
+        rounds += 1
+        u, s, _ = np.linalg.svd(np.hstack([m @ block, m.conj().T @ block]),
+                                full_matrices=False)
+        grown = u[:, s > tol * norm]
+        for _ in range(2):
+            grown = grown - basis @ (basis.conj().T @ grown)
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        thin = s[(s > cut / 10.0) & (s < 10.0 * cut)]
+        if thin.size:
+            warnings.warn(
+                f"unitary_part: round {rounds} has residual singular value "
+                f"{thin[0]:.3e} within 10x of the cut {cut:.3e}",
+                RuntimeWarning, stacklevel=2)
+        block = u[:, s > cut]
+        basis = np.hstack([basis, block])
+    cnu = Subspace(basis)
+    unitary = complement(cnu)
+    unitary_block = unitary.basis.conj().T @ m @ unitary.basis
+    return CanonicalDecomposition(
+        unitary_part=unitary,
+        cnu_part=cnu,
+        unitary_block=unitary_block,
+        reducing_defect=reducing_residual(m, unitary),
+        unitarity_defect=unitarity_defect(unitary_block),
+    )
+
+
+def r_v_dense(rep: VerdictReport) -> list:
+    """``r_v`` from the dense complement basis, the library's former
+    route: per cap, ``B`` times the masked columns of ``Q_perp^H``,
+    reduced by their R factor when they outnumber its rows."""
+    t = rep.tail
+    q_perp = t.h_perp.basis
+    n = q_perp.shape[0]
+    r_v: list = []
+    for cap in rep.levels:
+        cols = q_perp.conj().T[:, t.degs <= cap]
+        if cols.shape[1] > cols.shape[0]:
+            cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
+        s = np.linalg.svd(t.cross @ cols, compute_uv=False)
+        top5 = np.zeros(min(5, n))
+        top5[:min(5, s.size)] = s[:5]
+        r_v.append([float(x) for x in top5])
+    return r_v

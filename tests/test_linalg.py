@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import intersect_avg_projector, reducing_residual_complement
 from woldlab.errors import DimensionError, ValidationError
 from woldlab.linalg import (
     Subspace,
+    _norm_at_most,
     complement,
     full_subspace,
     gram_defect,
@@ -422,3 +423,59 @@ def test_subspaces_and_pairs_compare_and_hash_by_identity():
     assert {s: 1}[s] == 1
     assert hash(pair.split_1) == hash(pair.split_1)
     assert len({hash(s), hash(pair), hash(pair.split_1.h_inf)}) == 3
+
+
+_NORM_CASES = st.tuples(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from(["random", "rank-1", "zero", "tiny", "stacked"]),
+    st.sampled_from(["above", "below", "frobenius", "frobenius-over-sqrt-r"]))
+
+
+def _norm_case(rng, kind):
+    """A matrix, or a stack of matrices, of the given kind."""
+    m, d = (int(k) for k in rng.integers(1, 9, size=2))
+    shape = (int(rng.integers(2, 5)), m, d) if kind == "stacked" else (m, d)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "rank-1":
+        return np.outer(a[:, 0], a[0])
+    if kind == "zero":
+        return np.zeros(shape, dtype=np.complex128)
+    if kind == "tiny":
+        # each squared entry underflows to zero
+        return 1e-300 * a
+    return a
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_NORM_CASES)
+# a rank-one matrix whose SVD norm exceeds its Frobenius norm by rounding
+@example((4, "rank-1", "frobenius"))
+def test_norm_at_most_property_decides_as_the_svd(case):
+    # the bounds sit just above and below the exact norm and on the two
+    # Frobenius bounds, where a bound without slack would decide wrongly
+    seed, kind, at = case
+    rng = np.random.default_rng(seed)
+    a = _norm_case(rng, kind)
+    exact = operator_norm(a)
+    fro = float(np.linalg.norm(a, axis=(-2, -1)).max())
+    bound = {"above": exact * (1.0 + 1e-9), "below": exact * (1.0 - 1e-9),
+             "frobenius": fro,
+             "frobenius-over-sqrt-r": fro / np.sqrt(min(a.shape[-2:]))}[at]
+    assert _norm_at_most(a, bound) == (exact <= bound)
+
+
+@pytest.mark.parametrize("bound", [0.0, 1.0, 1e300, np.inf])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_norm_at_most_never_passes_a_nan(bound, stacked):
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 2] = np.nan
+    if stacked:
+        a = np.stack([np.zeros((3, 3)), a])
+    try:
+        want = operator_norm(a) <= bound
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(type(exc)):
+            _norm_at_most(a, bound)
+    else:
+        assert want is False
+        assert _norm_at_most(a, bound) is False

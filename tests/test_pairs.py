@@ -28,8 +28,9 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
 from woldlab.wold import hyper_range, unitary_part, wandering_subspace
 
-from oracles import (model_audits_rungwise, reducing_residual_complement,
-                     slocinski_parts_intersect, verdict_battery_projector)
+from oracles import (model_audits_rungwise, r_v_dense,
+                     reducing_residual_complement, slocinski_parts_intersect,
+                     trusted_ladder_all_rungs, verdict_battery_projector)
 
 HALF_SHIFT_NORM = 0.8660254037844386  # sqrt(3)/2
 AVERAGE_NORM = 0.7071067811865476  # sqrt(1/2)
@@ -295,8 +296,9 @@ def test_verdict_battery_runs_no_full_size_svd(monkeypatch):
     rep = verdict_battery(pair)
     head = list(svd_rows)
     rep.r_iv, rep.r_v  # the tail's SVDs count too
-    # the top cap of r_v reads B = Q^H S2 Q_perp through an R factor, so
-    # no SVD or norm input spans all n columns, let alone n x n
+    # the top cap of r_v reads B = Q^H S2 Q_perp by column selection on
+    # this coordinate split, so no SVD or norm input spans all n columns,
+    # let alone n x n
     assert wide == []
     # E is found block by block and H & probe by its masks: before the tail
     # is read, no SVD has more rows than S1's largest diagonal block (54 of
@@ -1259,3 +1261,141 @@ def test_structure_analyses_form_no_projector(name, monkeypatch):
             analysis(pair)
         except PreconditionError:
             pass
+
+
+_LADDER_PAIRS = {
+    **{f"three-part-{s}": (lambda s=s: three_part_pair(s)[0])
+       for s in range(3)},
+    **{f"four-block-{s}": (lambda s=s: four_block_pair(s)[0])
+       for s in range(3)},
+    # a width-6 e-ladder that escapes at rung 1
+    "tensor": lambda: tensor_shift_pair(5, 5),
+    # e-ladders of 16, 32 and 49 rungs: escapes at the chunk starts 16 and
+    # 32, and inside the chunk 32..63
+    **{f"inner-{d}": (lambda d=d: construct_example(blaschke([0.5]), d))
+       for d in (15, 31, 48)},
+}
+
+
+def _recorded_ladders(pair, monkeypatch):
+    """Arguments and result of every ``_trusted_ladder`` call of
+    ``model_decomposition(pair)``."""
+    calls = []
+    real = woldlab.pairs._trusted_ladder
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(woldlab.pairs, "_trusted_ladder", recording)
+    model_decomposition(pair)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_PAIRS))
+def test_trusted_ladders_match_the_all_rungs_oracle_bitwise(
+        name, monkeypatch):
+    calls = _recorded_ladders(_LADDER_PAIRS[name](), monkeypatch)
+    assert len(calls) == 2
+    for args, got in calls:
+        want = trusted_ladder_all_rungs(*args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _shift_ladder(n, trusted, width, seed):
+    """``kron(shift, I_width)`` from the first coordinate block, with the
+    first ``trusted`` blocks as the probe: the ladder keeps ``trusted``
+    rungs. A seed conjugates all of it by a Haar unitary, so the probe is
+    dense."""
+    step = np.kron(np.eye(n, k=-1), np.eye(width)).astype(np.complex128)
+    start = np.eye(n * width, dtype=np.complex128)[:, :width]
+    mask = np.arange(n * width) < trusted * width
+    if seed is None:
+        return step, Subspace(start), Subspace.coordinates(mask), n
+    u = _haar_unitary(np.random.default_rng(seed), n * width)
+    return (u @ step @ u.conj().T, Subspace(u @ start),
+            Subspace(u[:, mask]), n)
+
+
+def _counting(step, applied):
+    """``step`` viewed as an array whose ``@`` appends to ``applied``."""
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            applied.append(1)
+            return np.asarray(self) @ other
+
+    return step.view(Counting)
+
+
+@pytest.mark.parametrize("trusted", [1, 16, 32, 40, 64])
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_trusted_ladder_stops_at_its_first_escaping_chunk(
+        trusted, width, seed):
+    # 1: escapes at rung 1; 16 and 32: at a chunk start; 40: inside the
+    # chunk 32..63; 64: never, the last rungs being zero
+    step, start, probe, cap = _shift_ladder(64, trusted, width, seed)
+    applied = []
+    got = woldlab.pairs._trusted_ladder(_counting(step, applied), start,
+                                        probe, cap)
+    want = trusted_ladder_all_rungs(step, start, probe, cap)
+    assert len(got) == (trusted if trusted < 64 else cap + 1)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # the rungs built end with the chunk 2^j .. 2^(j+1) - 1 that holds the
+    # first escape, rung len(got): fewer than twice the rungs kept
+    assert len(applied) <= min(cap, 2 * len(got) - 1)
+
+
+def test_model_decomposition_builds_no_rung_past_an_escaping_chunk(
+        monkeypatch):
+    pair, _ = three_part_pair(0, degree=56)
+    built = []
+    real = woldlab.pairs._trusted_ladder
+
+    def counting(step, *args):
+        applied = []
+        out = real(_counting(step, applied), *args)
+        built.append((len(applied), len(out)))
+        return out
+
+    monkeypatch.setattr(woldlab.pairs, "_trusted_ladder", counting)
+    model_decomposition(pair)
+    # both ladders escape (55 and 30 of 117 candidate rungs)
+    assert [kept for _, kept in built] == [55, 30]
+    assert all(applied <= 2 * kept - 1 for applied, kept in built)
+
+
+def test_model_decomposition_of_a_three_part_pair_takes_few_svds(svd_calls):
+    # split, battery, both ladders, the two nested hyper-ranges and every
+    # residual: 155 SVDs when every rung took its own
+    model_decomposition(three_part_pair(0, degree=56)[0])
+    assert len(svd_calls) <= 30
+
+
+_R_V_PAIRS = {
+    **{f"polynomial-{d}": (lambda d=d: construct_example(
+        polynomial([0.5, 0.5]), d)) for d in (16, 32, 48)},
+    **{f"four-block-{s}": (lambda s=s: four_block_pair(s)[0])
+       for s in range(3)},
+    "tensor": lambda: tensor_shift_pair(5, 5),
+    "constant-shift": lambda: constant_shift_pair(1.1, 12),
+    "biunitary": lambda: biunitary_pair(3, 5),
+    # dense splits, read through the R factor
+    "mixed": lambda: _mixed_block_sum(4),
+    "scrambled-polynomial-16": lambda: _scrambled_example(16, 3),
+    "three-part": lambda: three_part_pair(0)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_R_V_PAIRS))
+def test_r_v_matches_the_dense_formula(name):
+    rep = verdict_battery(_R_V_PAIRS[name]())
+    got, want = np.array(rep.r_v), np.array(r_v_dense(rep))
+    assert got.shape == want.shape
+    scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+    if rep.tail.h_perp.mask is None:
+        assert np.array_equal(got, want)

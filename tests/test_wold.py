@@ -12,15 +12,17 @@ from woldlab import wold
 from woldlab.errors import DomainError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
-from woldlab.linalg import Subspace, complement, subspace_distance
+from woldlab.linalg import (Subspace, complement, operator_norm,
+                            subspace_distance)
 from woldlab.pairs import (biunitary_pair, construct_example, four_block_pair,
                            tensor_shift_pair, three_part_pair)
 from woldlab.symbols import blaschke, constant, polynomial
 from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
                           unitary_part, wold_split)
 
-from oracles import (hyper_range_nested, ladder_audits_pairwise,
-                     unitary_part_iterated, unitary_part_stacked)
+from oracles import (certified_nilpotent_hstack, hyper_range_nested,
+                     ladder_audits_pairwise, unitary_part_iterated,
+                     unitary_part_kernel_start, unitary_part_stacked)
 
 
 def _random_contraction(rng, n):
@@ -782,3 +784,93 @@ def test_cnu_span_residual_with_empty_grid_is_projector_norm():
 def test_cnu_span_residual_rejects_boundary_points():
     with pytest.raises(DomainError):
         cnu_eigenvector_span_residual(compress(shift(1, 8)), [1.0])
+
+
+_LADDER_CERTIFICATE_INPUTS = {
+    **_BLOCK_SPLIT_INPUTS,
+    "scrambled-jordan-24": lambda: _scrambled(np.eye(24, k=-1), 2),
+    # eigenvalues 0.5, 0.1 and 0: its ladder spans the space, yet fails
+    "non-nilpotent": _NILPOTENCY_CERTIFICATES["upper-triangular"][0],
+    # a ladder of width 2 throughout, one SVD per rung
+    "scrambled-shift-kron-i2": lambda: _scrambled(
+        np.kron(np.eye(12, k=-1), np.eye(2)), 9),
+    "nonnormal-nilpotent": _nonnormal_nilpotent,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_CERTIFICATE_INPUTS))
+def test_nilpotency_certificate_matches_the_hstack_oracle(name):
+    c = _LADDER_CERTIFICATE_INPUTS[name]()
+    scale = operator_norm(c)
+    want = certified_nilpotent_hstack(c, 1e-10, scale)
+    assert wold._certified_nilpotent(c, 1e-10, scale) is want
+    if name.startswith(("scrambled-", "empty")):
+        assert want
+
+
+def _perturbed_unitary():
+    # a unitary 1e-13 off in each entry: its defects are far below 1e-10
+    rng = np.random.default_rng(31)
+    u = _haar_unitary(rng, 7)
+    t = u + 1e-13 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    return t / max(1.0, operator_norm(t))
+
+
+def _example_compression(d):
+    # Q^H S1 Q, the input unitary_part_1 hands to unitary_part
+    pair = construct_example(polynomial([0.5, 0.5]), d)
+    mask = pair.split_1.h_inf.mask
+    return pair.s1.matrix[np.ix_(mask, mask)]
+
+
+_KERNEL_START_INPUTS = {
+    # exactly unitary: both defects pass their Frobenius bound
+    "haar-1": (lambda: _haar_unitary(np.random.default_rng(1), 1), True),
+    "haar-59": (lambda: _haar_unitary(np.random.default_rng(2), 59), True),
+    "permutation": (lambda: np.eye(6)[[2, 0, 1, 5, 3, 4]], True),
+    "perturbed-unitary": (_perturbed_unitary, True),
+    "example-compression-32": (lambda: _example_compression(32), True),
+    # defect 0.9e-10 times the identity of size 4: the Frobenius norm
+    # exceeds tol, so the SVD decides, and both kernels are full
+    "identity-in-the-band": (
+        lambda: np.sqrt(1.0 - 0.9e-10) * np.eye(4), True),
+    # not unitary: the kernels run
+    "diag-1-half": (lambda: np.diag([1.0, 0.5]), False),
+    "unitary-plus-half": (lambda: sla.block_diag(
+        _haar_unitary(np.random.default_rng(3), 3), [[0.5]]), False),
+    "seeded-contraction": (lambda: _seeded_contractions()[3], False),
+    "rotation-coupling": (lambda: _rotation_coupling(0.3), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_START_INPUTS))
+def test_unitary_part_matches_the_kernel_start_oracle_bitwise(
+        name, monkeypatch):
+    make, full = _KERNEL_START_INPUTS[name]
+    t = make()
+    want = unitary_part_kernel_start(t)
+    kernels = []
+    real = wold.kernel
+
+    def counting(*args, **kwargs):
+        kernels.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wold, "kernel", counting)
+    got = unitary_part(t)
+    # the shortcut fires exactly on the inputs whose defects pass
+    assert (not kernels) is full
+    assert (got.unitary_part.dim == t.shape[0]) is full
+    for field in ("unitary_part", "cnu_part"):
+        assert np.array_equal(getattr(got, field).basis,
+                              getattr(want, field).basis)
+    assert np.array_equal(got.unitary_block, want.unitary_block)
+    assert got.reducing_defect == want.reducing_defect
+    assert got.unitarity_defect == want.unitarity_defect
+
+
+def test_unitary_part_of_a_unitary_takes_at_most_three_svds(svd_calls):
+    # the contraction check and the unitary block's two Gram defects; the
+    # two kernels, their intersection and its complement are skipped
+    unitary_part(_haar_unitary(np.random.default_rng(4), 59))
+    assert len(svd_calls) <= 3

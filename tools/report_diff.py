@@ -23,7 +23,10 @@ polynomial symbol, level lists up to degree 48, a loose tolerance, atoms
 and the other fixtures). It is its own list, not a mirror of the configs
 of the command-line tests. Every case runs every command, except the
 cases ``ONLY`` names: those run the one command their sizes are for (the
-benchmark's ``wold`` levels, and a larger Slocinski four-block pair).
+benchmark's ``wold`` levels, a larger Slocinski four-block pair, and the
+inner symbol at levels whose model ladders keep 16, 32 and 49 rungs, so
+that they escape at the start of a doubling chunk of rungs and past the
+32-rung chunk).
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ CASES = {
                       "levels": [32, 48]},
     "wold-64-112": {"levels": [64, 112], "unitary_dim": 3},
     "four-block-12-16": {"fixture": "four-block", "levels": [12, 16]},
+    "inner-15-31-48": dict(INNER, levels=[15, 31, 48]),
 }
-ONLY = {"wold-64-112": "wold", "four-block-12-16": "slocinski"}
+ONLY = {"wold-64-112": "wold", "four-block-12-16": "slocinski",
+        "inner-15-31-48": "model-decompose"}
 
 
 class Mismatch(Exception):
