@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ValidationError
 from .symbols import (
     SchurSymbol,
     blaschke_required_order,
@@ -99,7 +99,7 @@ class GradedOperator:
     input degree on which the matrix reproduces the untruncated operator;
     coordinates above it may be polluted by truncation. The defaults, growth
     0 and a window over the whole domain, describe an ungraded operator
-    exact everywhere.
+    exact everywhere. A non-finite entry is refused, as by ``as_matrix``.
     """
 
     matrix: np.ndarray
@@ -115,6 +115,9 @@ class GradedOperator:
                 f"matrix shape {m.shape} does not match spaces "
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
+        # both parts of every entry, read as one real array
+        if not np.isfinite(m.reshape(-1).view(np.float64)).all():
+            raise ValidationError("operator matrix contains non-finite entries")
         self.matrix = m
         if self.window is None:
             self.window = self.domain.degree

@@ -76,7 +76,7 @@ class Subspace:
         if q.ndim != 2:
             raise ValidationError("subspace basis must be 2-D")
         if q.shape[1] > 0:
-            defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+            defect = np.linalg.norm(_gram_residual(q))
             if not defect <= 1e-12 * max(1.0, q.shape[1]):  # NaN too
                 raise ValidationError(
                     f"basis columns not orthonormal (defect {defect:.3e})"
@@ -181,37 +181,21 @@ def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
     Two coordinate subspaces meet in the coordinates both masks select,
-    ``Subspace.coordinates(a.mask & b.mask)``, with no SVD. Any other pair
-    takes one rule: principal vectors whose cosine (singular value of
-    a^H b) reaches ``1 - tol`` are kept, as ``a``'s basis times the
-    orthonormal coefficients of ``_intersection_coefficients``, an
-    orthonormal basis as it stands.
+    ``Subspace.coordinates(a.mask & b.mask)``, and a mask that selects
+    every coordinate returns ``a``, with no SVD. Any other pair keeps the
+    principal vectors whose cosine (singular value of ``a^H b``, read by
+    row selection for a masked ``b``) reaches ``1 - tol``, as ``a``'s
+    basis times the left singular vectors: orthonormal as it stands.
     """
     _check_same_ambient(a, b)
     if a.mask is not None and b.mask is not None:
         return Subspace.coordinates(a.mask & b.mask)
+    if b.mask is not None and b.mask.all():
+        return a
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
-    coef = _intersection_coefficients(a.basis, b, tol)
-    return Subspace(a.basis if coef is None else a.basis @ coef)
-
-
-def _intersection_coefficients(a: np.ndarray, b: Subspace,
-                               tol: float) -> np.ndarray | None:
-    """Orthonormal ``W`` with ``a @ W`` a basis of ``span(a) & span(b)``,
-    for orthonormal columns ``a``; None keeps ``a``.
-
-    ``W`` are the left singular vectors of ``a^H b`` whose cosine reaches
-    ``1 - tol``; for ``b`` with a mask, ``a^H b`` is read by selecting the
-    masked rows of ``a``. A mask that selects every coordinate keeps ``a``
-    whole, and one that selects none keeps nothing; neither takes an SVD.
-    """
-    if b.mask is not None and b.mask.all():
-        return None
-    if b.mask is not None and not b.mask.any():
-        return np.zeros((a.shape[1], 0), dtype=a.dtype)
-    u, s, _ = np.linalg.svd(_times_basis(a.conj().T, b))
-    return u[:, :int(np.sum(s >= 1.0 - tol))]
+    u, s, _ = np.linalg.svd(_times_basis(a.basis.conj().T, b))
+    return Subspace(a.basis @ u[:, :int(np.sum(s >= 1.0 - tol))])
 
 
 def complement(s: Subspace) -> Subspace:
@@ -273,27 +257,37 @@ _BOUND_SLACK = 1e-12
 
 def _norm_at_most(a, bound: float) -> bool:
     """Whether ``operator_norm(a) <= bound``, decided by the cheapest
-    sufficient bound; for a stack of matrices every one must pass.
+    sufficient bound; for a stack of matrices every one must pass. Every
+    threshold-only norm of the library is decided here.
 
     ``||A||_F / sqrt(r) <= ||A||_2 <= ||A||_F`` with ``r = min(m, d)``
     (Golub--Van Loan, Matrix Computations, 2.3): the answer is True when
-    every Frobenius norm is at most the bound and False when some
+    the largest Frobenius norm is at most the bound and False when its
     ``||A||_F / sqrt(r)`` exceeds it, each by the relative slack
-    ``_BOUND_SLACK``. Only in the band between does the SVD decide. Each
-    Frobenius norm is taken on the matrix scaled by its largest entry, so
-    a tiny matrix does not underflow to a zero norm. A NaN entry decides
-    neither bound and reaches the SVD, so it never passes.
+    ``_BOUND_SLACK``. Only in the band between does the SVD decide. One
+    matrix's norm is ``sqrt(vdot(A, A))``, taken again on ``A`` scaled by
+    its largest entry only when it lies outside ``[1e-150, 1e150]``, where
+    a squared entry can underflow or overflow; a stack's are always
+    scaled. A non-finite entry decides neither bound and reaches the SVD,
+    so it never passes.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
         return 0.0 <= bound
-    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    top = np.where(top > 0.0, top, 1.0)
-    fro = top[..., 0, 0] * np.linalg.norm(a / top, axis=(-2, -1))
-    if np.all(fro * (1.0 + _BOUND_SLACK) <= bound):
+    if a.ndim == 2:
+        fro = float(np.vdot(a, a).real) ** 0.5
+        if not 1e-150 <= fro <= 1e150 and np.any(a):
+            top = float(np.abs(a).max())
+            fro = top * float(np.linalg.norm(a / top)) \
+                if np.isfinite(top) else np.nan
+    else:
+        top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        top = np.where(top > 0.0, top, 1.0)
+        fro = float(np.max(top[..., 0, 0]
+                           * np.linalg.norm(a / top, axis=(-2, -1))))
+    if fro * (1.0 + _BOUND_SLACK) <= bound:
         return True
-    rank = min(a.shape[-2:])
-    if np.any(fro > bound * (1.0 + _BOUND_SLACK) * np.sqrt(rank)):
+    if fro > bound * (1.0 + _BOUND_SLACK) * np.sqrt(min(a.shape[-2:])):
         return False
     return operator_norm(a) <= bound
 

@@ -70,7 +70,6 @@ from .linalg import (
     pivoted_cholesky,
     reducing_residual,
     unimodular_clusters,
-    zero_subspace,
 )
 from .symbols import SchurSymbol, blaschke, defect_weight
 from .wold import (CanonicalDecomposition, _block_slices, as_graded,
@@ -390,7 +389,8 @@ class SlocinskiDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PointSpectrumPart:
-    """Orthogonal sum of unimodular eigenspaces of the first operator."""
+    """Orthogonal sum of unimodular eigenspaces of the first operator: its
+    unitary part, with each cluster's mean eigenvalue and eigenspace."""
 
     subspace: Subspace
     eigenpairs: list
@@ -462,12 +462,10 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     ``S1 P`` per block, ``S2 P`` and ``(S1 S2 - S2 S1) P`` are formed
     (``_commutator_images``): a probe built by ``Subspace.coordinates``
     splits over the blocks and is applied by column selection, any other
-    probe is one block. Each defect is decided by its Frobenius norm
-    first, an upper bound of its operator norm, with the Gram bound of
-    ``S1 P`` summed over its blocks: at or below 1e-8 it passes with no
-    SVD. Otherwise the pair's exact residual (an operator norm, read off
-    the same images) decides, and names the value when it raises; a
-    non-finite entry never passes.
+    probe is one block. Each block's Gram residual ``X^H X - I``
+    (``_gram_residual``) and the commutator are decided against 1e-8 by
+    ``_norm_at_most``, so an exact pair takes no SVD; a refusal names the
+    pair's exact residual, read off the same images.
 
     Raises
     ------
@@ -499,20 +497,14 @@ def validate_pair(s1, s2, probe: Subspace | None = None,
     pair = OperatorPair(s1=a, s2=b, space=a.domain, probe=probe,
                         assembly=assembly)
     s1p, s2p, comm = pair._probe_images()
-    gram_1 = np.sqrt(sum(np.linalg.norm(blk.conj().T @ blk
-                                        - np.eye(blk.shape[1])) ** 2
-                         for blk in s1p))
-    gram_2 = np.linalg.norm(s2p.conj().T @ s2p - np.eye(probe.dim))
-    commutator = np.linalg.norm(comm)
-    for name, bound, exact in (("first", gram_1, "defect_1"),
-                               ("second", gram_2, "defect_2")):
-        # "not <=" so that a NaN bound or residual is refused
-        if not bound <= 1e-8 and not getattr(pair, exact) <= 1e-8:
+    for name, images, exact in (("first", s1p, "defect_1"),
+                                ("second", [s2p], "defect_2")):
+        if not all(_norm_at_most(_gram_residual(x), 1e-8) for x in images):
             raise DomainError(
                 f"{name} operator is not isometric on the probe: "
                 f"defect {getattr(pair, exact):.3e}"
             )
-    if not commutator <= 1e-8 and not pair.commutator_residual <= 1e-8:
+    if not _norm_at_most(comm, 1e-8):
         raise DomainError("operators do not commute: residual "
                           f"{pair.commutator_residual:.3e}")
     return pair
@@ -900,32 +892,24 @@ def point_spectrum_part(p: OperatorPair,
     """Unimodular eigenspaces of the first operator, clustered and summed.
 
     Eigenvalues of the unitary block are clustered at ``cluster_tol`` by
-    ``unimodular_clusters``; each cluster contributes one eigenspace, and
-    their orthogonal sum is returned along with the residuals showing it
-    reduces both operators.
+    ``unimodular_clusters``; each cluster contributes one eigenspace. A
+    unitary block is diagonalizable, so they sum to the pair's cached
+    unitary part, which is returned with its reducing defect against the
+    first operator; only the residual against the second is measured. No
+    unitary part gives a 0 x 0 block and no eigenpairs.
     """
-    m1, m2 = p.s1.matrix, p.s2.matrix
     cd = p.unitary_part_1
-    if cd.unitary_part.dim == 0:
-        zero = zero_subspace(p.space.dim)
-        return PointSpectrumPart(subspace=zero, eigenpairs=[],
-                                 reduction_residual_1=0.0,
-                                 reduction_residual_2=0.0,
-                                 unimodularity=0.0)
     vals, vecs = np.linalg.eig(cd.unitary_block)
-    unimod = float(np.max(np.abs(np.abs(vals) - 1.0)))
+    unimod = float(np.max(np.abs(np.abs(vals) - 1.0), initial=0.0))
     pairs = []
     for group in unimodular_clusters(vals, cluster_tol):
         lam = complex(np.mean(vals[group]))
         basis = orthonormalize(cd.unitary_part.basis @ vecs[:, group])
         pairs.append((lam, basis))
-    total = orthonormalize(np.hstack([b.basis for _, b in pairs]))
-    r1 = max(reducing_residual(m1, total))
-    r2 = max(reducing_residual(m2, total))
-    return PointSpectrumPart(subspace=total, eigenpairs=pairs,
-                             reduction_residual_1=float(r1),
-                             reduction_residual_2=float(r2),
-                             unimodularity=unimod)
+    r2 = max(reducing_residual(p.s2.matrix, cd.unitary_part))
+    return PointSpectrumPart(subspace=cd.unitary_part, eigenpairs=pairs,
+                             reduction_residual_1=max(cd.reducing_defect),
+                             reduction_residual_2=r2, unimodularity=unimod)
 
 
 def finiteness_checks(p: OperatorPair) -> FinitenessReport:

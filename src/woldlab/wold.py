@@ -87,13 +87,25 @@ class WoldDecomposition:
     ladder_orthogonality: float
 
 
+def _square(t, caller: str, name: str = "operator") -> np.ndarray:
+    """``as_matrix(t, name)``, refused unless square; a ``GradedOperator``
+    is refused, not read without its window, by a message naming ``caller``.
+    """
+    if isinstance(t, GradedOperator):
+        raise DomainError(
+            f"{caller} takes a square array, not a GradedOperator; "
+            "pass its .matrix")
+    m = as_matrix(t, name)
+    if m.shape[0] != m.shape[1]:
+        raise DomainError(f"square matrix required, got shape {m.shape}")
+    return m
+
+
 def as_graded(t) -> GradedOperator:
     """Wrap a square matrix as an ungraded operator exact everywhere."""
     if isinstance(t, GradedOperator):
         return t
-    m = as_matrix(t, "operator")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"square matrix required, got shape {m.shape}")
+    m = _square(t, "as_graded")
     sp = abstract_space(m.shape[0])
     return GradedOperator(matrix=m, domain=sp, codomain=sp, growth=0, window=0)
 
@@ -149,8 +161,8 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     Raises
     ------
     DomainError
-        If the input is not square or not a contraction; the message names
-        the offending norm.
+        If the input is not a square array or not a contraction; the
+        message names the offending norm.
 
     Warns
     -----
@@ -159,9 +171,7 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
         ``sqrt(2 * tol)`` cut; the message names the round, the value and
         the cut.
     """
-    m = as_matrix(t, "contraction")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"square matrix required, got shape {m.shape}")
+    m = _square(t, "unitary_part", "contraction")
     norm = operator_norm(m)
     if norm > 1.0 + 1e-10:
         raise DomainError(f"not a contraction: operator norm {norm:.12g}")
@@ -270,13 +280,7 @@ def hyper_range(t, tol: float = 1e-10) -> Subspace:
         If the input is not a square array. A ``GradedOperator`` is
         refused rather than read without its window; pass its ``.matrix``.
     """
-    if isinstance(t, GradedOperator):
-        raise DomainError(
-            "hyper_range takes a square array, not a GradedOperator; "
-            "pass its .matrix")
-    m = as_matrix(t, "operator")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"square matrix required, got shape {m.shape}")
+    m = _square(t, "hyper_range")
     slices = _block_slices(m)
     return Subspace(_lifted(slices, [h for h, _ in
                                      _deflated_blocks(m, tol, slices)]))
@@ -303,11 +307,9 @@ def hyper_range_split(t, tol: float = 1e-10, *,
 
     ``_slices`` is for a caller that already holds ``_block_slices(t)``
     (a validated pair finds its first operator's blocks once); the matrix
-    is not cut again.
+    is not cut again. Input is refused as ``hyper_range`` refuses it.
     """
-    m = as_matrix(t, "operator")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"square matrix required, got shape {m.shape}")
+    m = _square(t, "hyper_range_split")
     slices = _block_slices(m) if _slices is None else _slices
     splits = _deflated_blocks(m, tol, slices)
     if all(h.shape[1] in (0, h.shape[0]) for h, _ in splits):

@@ -428,7 +428,9 @@ def test_subspaces_and_pairs_compare_and_hash_by_identity():
 _NORM_CASES = st.tuples(
     st.integers(0, 2 ** 32 - 1),
     st.sampled_from(["random", "rank-1", "zero", "tiny", "stacked"]),
-    st.sampled_from(["above", "below", "frobenius", "frobenius-over-sqrt-r"]))
+    st.sampled_from(["above", "below", "frobenius", "frobenius-over-sqrt-r"]),
+    # squared entries of the scaled input fall to subnormals, or overflow
+    st.sampled_from([1.0, 1e-160, 1e160]))
 
 
 def _norm_case(rng, kind):
@@ -446,14 +448,15 @@ def _norm_case(rng, kind):
     return a
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@settings(derandomize=True, max_examples=240, deadline=None, database=None)
 @given(_NORM_CASES)
 # a rank-one matrix whose SVD norm exceeds its Frobenius norm by rounding
-@example((4, "rank-1", "frobenius"))
+@example((4, "rank-1", "frobenius", 1.0))
 def test_norm_at_most_property_decides_as_the_svd(case):
     # the bounds sit just above and below the exact norm and on the two
-    # Frobenius bounds, where a bound without slack would decide wrongly
-    seed, kind, at = case
+    # Frobenius bounds, where a bound without slack would decide wrongly;
+    # a scaled input takes its bound scaled alike
+    seed, kind, at, scale = case
     rng = np.random.default_rng(seed)
     a = _norm_case(rng, kind)
     exact = operator_norm(a)
@@ -461,7 +464,8 @@ def test_norm_at_most_property_decides_as_the_svd(case):
     bound = {"above": exact * (1.0 + 1e-9), "below": exact * (1.0 - 1e-9),
              "frobenius": fro,
              "frobenius-over-sqrt-r": fro / np.sqrt(min(a.shape[-2:]))}[at]
-    assert _norm_at_most(a, bound) == (exact <= bound)
+    a, bound = scale * a, scale * bound
+    assert _norm_at_most(a, bound) == (operator_norm(a) <= bound)
 
 
 @pytest.mark.parametrize("bound", [0.0, 1.0, 1e300, np.inf])

@@ -438,22 +438,67 @@ def test_validate_pair_decides_by_the_operator_norm_past_the_bound():
     assert pair.defect_1 == pytest.approx(9e-9, rel=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("which", ["s1", "s2"])
 def test_validate_pair_refuses_a_non_finite_entry(which, value):
-    # a GradedOperator reaches validation unchecked; a NaN Frobenius bound
-    # must fall through to the exact residual, not pass
+    # the GradedOperator a pair is built from refuses the entry, so it
+    # never reaches a norm or an SVD
     pair = construct_example(polynomial([0.5, 0.5]), 16)
     op = getattr(pair, which)
     col = int(np.flatnonzero(pair.probe.basis[:, 0])[0])
     m = op.matrix.copy()
     m[3, col] = value
     ops = dict(s1=pair.s1, s2=pair.s2)
-    ops[which] = GradedOperator(matrix=m, domain=op.domain,
-                                codomain=op.codomain)
-    with pytest.raises((DomainError, np.linalg.LinAlgError)):
+    with pytest.raises(ValidationError, match="non-finite"):
+        ops[which] = GradedOperator(matrix=m, domain=op.domain,
+                                    codomain=op.codomain)
         validate_pair(ops["s1"], ops["s2"], pair.probe)
+
+
+def _accepts(s1, s2):
+    try:
+        validate_pair(s1, s2)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6],
+                         ids=["below", "above"])
+def test_validate_pair_decides_a_straddling_gram_defect_as_the_exact_norm(
+        side):
+    # every eigenvalue of the Gram defect of S2 is 1e-8 (1 -+ 1e-6): its
+    # Frobenius norm over 6 directions leaves the question open
+    s1 = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    s2 = np.sqrt(1.0 + 1e-8 * side) * np.diag([1.0, 1.0, -1.0, -1.0, 1j, 1j])
+    exact = gram_defect(s2)
+    assert exact == pytest.approx(1e-8 * side, rel=1e-9)
+    assert _accepts(s1, s2) == (exact <= 1e-8) == (side < 1.0)
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6],
+                         ids=["below", "above"])
+def test_validate_pair_decides_a_straddling_commutator_as_the_exact_norm(
+        side):
+    # S1 = diag(1, -1) and a rotation by t: the commutator is 2 sin t on
+    # the antidiagonal, its Frobenius norm sqrt(2) times its operator norm
+    t = np.arcsin(0.5e-8 * side)
+    s2 = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    s1 = np.diag([1.0, -1.0])
+    exact = operator_norm(s1 @ s2 - s2 @ s1)
+    assert exact == pytest.approx(1e-8 * side, rel=1e-9)
+    assert _accepts(s1, s2) == (exact <= 1e-8) == (side < 1.0)
+
+
+def test_validate_pair_decides_each_block_of_the_first_operator_alone(
+        svd_calls):
+    # each 1 x 1 block's Gram defect is 8e-9, within 1e-8 by its own
+    # Frobenius norm, though the two summed in one Frobenius norm exceed it
+    c = np.sqrt(1.0 + 8e-9)
+    pair = validate_pair(np.diag([c, -c]), np.eye(2))
+    assert len(pair.s1_blocks) == 2
+    assert svd_calls == []
+    assert pair.defect_1 == pytest.approx(8e-9, rel=1e-6)
 
 
 def test_validate_pair_failures_name_the_exact_operator_norm():
@@ -1024,6 +1069,22 @@ _SPLIT_PAIRS = {
     "polynomial-48": lambda: construct_example(polynomial([0.5, 0.5]), 48),
     "blaschke-48": lambda: construct_example(blaschke([0.4]), 48),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
+def test_point_spectrum_part_is_the_cached_unitary_part(name, svd_calls):
+    pair = _SPLIT_PAIRS[name]()
+    cd = pair.unitary_part_1
+    svd_calls.clear()
+    ps = point_spectrum_part(pair)
+    assert ps.subspace is cd.unitary_part
+    assert ps.reduction_residual_1 == max(cd.reducing_defect)
+    # one SVD per cluster's eigenspace, two for the residual against S2
+    assert len(svd_calls) <= len(ps.eigenpairs) + 2
+    if name == "tensor":
+        assert ps.subspace.dim == 0
+        assert ps.eigenpairs == []
+        assert ps.unimodularity == 0.0
 
 
 def _clusters(block):

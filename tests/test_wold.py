@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woldlab import wold
-from woldlab.errors import DomainError
+from woldlab.errors import DomainError, ValidationError
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            direct_sum, hardy_space, multiplier, shift)
 from woldlab.linalg import (Subspace, complement, operator_norm,
@@ -17,8 +17,9 @@ from woldlab.linalg import (Subspace, complement, operator_norm,
 from woldlab.pairs import (biunitary_pair, construct_example, four_block_pair,
                            tensor_shift_pair, three_part_pair)
 from woldlab.symbols import blaschke, constant, polynomial
-from woldlab.wold import (cnu_eigenvector_span_residual, hyper_range,
-                          unitary_part, wold_split)
+from woldlab.wold import (as_graded, cnu_eigenvector_span_residual,
+                          hyper_range, hyper_range_split, unitary_part,
+                          wold_split)
 
 from oracles import (certified_nilpotent_hstack, hyper_range_nested,
                      ladder_audits_pairwise, unitary_part_iterated,
@@ -478,12 +479,33 @@ def test_hyper_range_needs_no_nested_iteration_on_workload_inputs(
     assert subspace_distance(got, want) <= 1e-12
 
 
-def test_hyper_range_refuses_graded_operator():
+@pytest.mark.parametrize("call, dim", [
+    (hyper_range, lambda got: got.dim),
+    (hyper_range_split, lambda got: got[0].dim),
+    (unitary_part, lambda got: got.unitary_part.dim),
+], ids=["hyper_range", "hyper_range_split", "unitary_part"])
+def test_hyper_range_refuses_graded_operator(call, dim):
     # the window would be dropped silently; the caller passes the matrix
     op = compress(multiplier(constant(np.array([[1j]])), 8))
     with pytest.raises(DomainError, match=r"\.matrix"):
-        hyper_range(op)
-    assert hyper_range(op.matrix).dim == 9
+        call(op)
+    assert dim(call(op.matrix)) == 9
+    with pytest.raises(DomainError, match="square matrix required"):
+        call(np.zeros((3, 4)))
+    # as_graded alone takes a GradedOperator, as it is
+    assert as_graded(op) is op
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [lambda op: wold_split(op, 4), as_graded],
+                         ids=["wold_split", "as_graded"])
+def test_graded_operator_refuses_a_non_finite_entry(call, value):
+    # validate_pair's case is tests/test_pairs.py's non-finite test
+    sp = hardy_space(1, 4)
+    m = np.eye(sp.dim, dtype=np.complex128)
+    m[2, 1] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        call(GradedOperator(matrix=m, domain=sp, codomain=sp))
 
 
 def _unitary_contraction_jordan():
