@@ -10,6 +10,10 @@ isometry defect ``||A^H A - I||`` (``gram_defect``), the unitarity defect
 orthogonality of a family of subspaces (``mutual_orthogonality``), and
 the angle-ordered clustering of unimodular eigenvalues
 (``unimodular_clusters``).
+
+So do the products with a subspace's basis: compressions (``_compression``),
+lifts (``_lift``, ``_lifted``) and reducing residuals, read by selection on
+a coordinate subspace, whose coordinate parts lift to coordinates.
 """
 
 from __future__ import annotations
@@ -177,6 +181,37 @@ def _adjoint_times(s: Subspace, y: np.ndarray) -> np.ndarray:
     return s.basis.conj().T @ y if s.mask is None else y[s.mask]
 
 
+def _compression(m: np.ndarray, s: Subspace) -> np.ndarray:
+    """``Q^H (M Q)`` for the basis ``Q`` of ``s``: for a coordinate subspace
+    the submatrix of ``M`` on its mask, with no product."""
+    return _adjoint_times(s, _times_basis(m, s))
+
+
+def _lift(half: Subspace, part: Subspace) -> Subspace:
+    """``part``, a subspace of ``half``'s coordinates, lifted by ``half``'s
+    basis: a coordinate subspace when both have a mask."""
+    if half.mask is None or part.mask is None:
+        return Subspace(_basis_times(half, part.basis))
+    mask = half.mask.copy()
+    mask[half.mask] = part.mask
+    return Subspace.coordinates(mask)
+
+
+def _lifted(slices: tuple, bases: list) -> np.ndarray:
+    """The block-diagonal matrix of the per-block ``bases``, block ``k``
+    in rows ``slices[k]``; one block's basis is returned as it is, made
+    contiguous."""
+    if len(bases) == 1:
+        return np.ascontiguousarray(bases[0])
+    out = np.zeros((slices[-1].stop, sum(b.shape[1] for b in bases)),
+                   dtype=np.complex128)
+    col = 0
+    for sl, b in zip(slices, bases):
+        out[sl, col:col + b.shape[1]] = b
+        col += b.shape[1]
+    return out
+
+
 def intersect(a: Subspace, b: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
@@ -216,7 +251,8 @@ def reducing_residual(t, s: Subspace) -> tuple[float, float]:
     Returns ``(||(I-P) T P||, ||P T (I-P)||)`` in operator norm, where P
     projects onto ``s``. Both vanish iff s and its complement are invariant.
     They are read at working size from the compression ``A = Q^H T Q`` to
-    the basis ``Q`` of ``s``, as ``||T Q - Q A||`` and ``||Q^H T - A Q^H||``.
+    the basis ``Q`` of ``s``, as ``||T Q - Q A||`` and ``||Q^H T - A Q^H||``:
+    for a coordinate ``s``, off-diagonal blocks of ``T`` beside zeros.
     """
     m = as_matrix(t)
     if m.shape[0] != m.shape[1]:
@@ -225,11 +261,11 @@ def reducing_residual(t, s: Subspace) -> tuple[float, float]:
         raise DimensionError("operator and subspace ambient dimensions differ")
     if s.dim == 0 or s.dim == s.ambient_dim:
         return (0.0, 0.0)
-    q = s.basis
-    qh = q.conj().T
-    mq = m @ q
-    a = qh @ mq
-    return (operator_norm(mq - q @ a), operator_norm(qh @ m - a @ qh))
+    mq = _times_basis(m, s)
+    a = _adjoint_times(s, mq)
+    return (operator_norm(mq - _basis_times(s, a)),
+            operator_norm(_adjoint_times(s, m)
+                          - _basis_times(s, a.conj().T).conj().T))
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:
@@ -239,12 +275,12 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for an empty matrix.
+    """Largest singular value; 0.0, with no SVD, when no entry is nonzero.
 
     A stack of matrices, shape ``(k, m, d)``, gives the largest norm.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.size == 0:
+    if not np.any(a):
         return 0.0
     return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
@@ -256,38 +292,29 @@ _BOUND_SLACK = 1e-12
 
 
 def _norm_at_most(a, bound: float) -> bool:
-    """Whether ``operator_norm(a) <= bound``, decided by the cheapest
-    sufficient bound; for a stack of matrices every one must pass. Every
-    threshold-only norm of the library is decided here.
+    """Whether ``operator_norm(a) <= bound`` for one matrix, decided by
+    the cheapest sufficient bound. Every threshold-only norm of the
+    library is decided here.
 
     ``||A||_F / sqrt(r) <= ||A||_2 <= ||A||_F`` with ``r = min(m, d)``
     (Golub--Van Loan, Matrix Computations, 2.3): the answer is True when
-    the largest Frobenius norm is at most the bound and False when its
+    the Frobenius norm is at most the bound and False when
     ``||A||_F / sqrt(r)`` exceeds it, each by the relative slack
-    ``_BOUND_SLACK``. Only in the band between does the SVD decide. One
-    matrix's norm is ``sqrt(vdot(A, A))``, taken again on ``A`` scaled by
-    its largest entry only when it lies outside ``[1e-150, 1e150]``, where
-    a squared entry can underflow or overflow; a stack's are always
-    scaled. A non-finite entry decides neither bound and reaches the SVD,
-    so it never passes.
+    ``_BOUND_SLACK``. Only in the band between does the SVD decide. The
+    norm is ``sqrt(vdot(A, A))``, taken again on ``A`` scaled by its
+    largest entry only when it lies outside ``[1e-150, 1e150]``, where a
+    squared entry can underflow or overflow. A non-finite entry decides
+    neither bound and reaches the SVD, so it never passes.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0 <= bound
-    if a.ndim == 2:
-        fro = float(np.vdot(a, a).real) ** 0.5
-        if not 1e-150 <= fro <= 1e150 and np.any(a):
-            top = float(np.abs(a).max())
-            fro = top * float(np.linalg.norm(a / top)) \
-                if np.isfinite(top) else np.nan
-    else:
-        top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-        top = np.where(top > 0.0, top, 1.0)
-        fro = float(np.max(top[..., 0, 0]
-                           * np.linalg.norm(a / top, axis=(-2, -1))))
+    fro = float(np.vdot(a, a).real) ** 0.5
+    if not 1e-150 <= fro <= 1e150 and np.any(a):
+        top = float(np.abs(a).max())
+        fro = top * float(np.linalg.norm(a / top)) \
+            if np.isfinite(top) else np.nan
     if fro * (1.0 + _BOUND_SLACK) <= bound:
         return True
-    if fro > bound * (1.0 + _BOUND_SLACK) * np.sqrt(min(a.shape[-2:])):
+    if fro > bound * (1.0 + _BOUND_SLACK) * np.sqrt(min(a.shape)):
         return False
     return operator_norm(a) <= bound
 

@@ -57,7 +57,10 @@ from .linalg import (
     _adjoint_times,
     _basis_times,
     _block_kernels,
+    _compression,
     _gram_residual,
+    _lift,
+    _lifted,
     _norm_at_most,
     _times_basis,
     complement,
@@ -163,12 +166,10 @@ class OperatorPair:
     Every structure analysis reads one split of the space by the
     hyper-range ``H`` of the first operator, computed once per pair
     (``split_1``): ``H`` and ``H^perp`` with their bases ``Q`` and
-    ``Q_perp``, and ``A2 = Q^H S2 Q``. Every compression to a half
-    (``_compression``) and every lift by its basis goes through the
-    mask-aware products of ``linalg``: read by selection when the half is
-    a coordinate subspace, dense products otherwise. The unitary part of
-    the first operator lies in ``H``, so it is found on the compression
-    ``Q^H S1 Q`` and lifted by ``Q``.
+    ``Q_perp``, and ``A2 = Q^H S2 Q``. Every compression to a half and
+    every lift by its basis goes through ``linalg``: by selection when the
+    half is a coordinate subspace. The unitary part of the first operator
+    lies in ``H``, so it is found on ``Q^H S1 Q`` and lifted by ``Q``.
     """
 
     s1: GradedOperator
@@ -220,8 +221,8 @@ class OperatorPair:
         m1 = self.s1.matrix
         h_inf = self.split_1.h_inf
         small = unitary_part(_compression(m1, h_inf))
-        unitary = Subspace(_basis_times(h_inf, small.unitary_part.basis))
-        cnu = Subspace(np.hstack([_basis_times(h_inf, small.cnu_part.basis),
+        unitary = _lift(h_inf, small.unitary_part)
+        cnu = Subspace(np.hstack([_lift(h_inf, small.cnu_part).basis,
                                   self.split_1.h_perp.basis]))
         return CanonicalDecomposition(
             unitary_part=unitary,
@@ -408,12 +409,6 @@ class FinitenessReport:
     spectrum_card: int
     verdict: bool
     r_iii: float
-
-
-def _compression(m: np.ndarray, s: Subspace) -> np.ndarray:
-    """``Q^H M Q`` for the basis ``Q`` of ``s``: for a coordinate subspace
-    the submatrix of ``M`` on its mask, with no product."""
-    return _adjoint_times(s, _times_basis(m, s))
 
 
 def _subspace_blocks(sub: Subspace, s1_blocks: tuple) -> tuple:
@@ -613,19 +608,14 @@ def _probed_wandering(m1h: np.ndarray, probe: Subspace,
 
     Over the blocks the probe is read in (``_subspace_blocks``), ``E`` is
     the sum of the kernels of ``S1^H P`` restricted to a block, lifted by
-    rows. Every kernel rank is cut at the largest block's top singular
-    value, ``kernel``'s rule for the whole matrix.
+    rows (``_lifted``). Every kernel rank is cut at the largest block's
+    top singular value, ``kernel``'s rule for the whole matrix.
     """
-    n = m1h.shape[0]
     blocks = _subspace_blocks(probe, s1_blocks)
     kernels = _block_kernels([_times_basis(m1h[rows, rows], probe, rows)
                               for rows in blocks], DEFAULT_TOL)
-    e = np.zeros((n, sum(k.shape[1] for k in kernels)), dtype=np.complex128)
-    at = 0
-    for rows, kern in zip(blocks, kernels):
-        e[rows, at:at + kern.shape[1]] = _basis_times(probe, kern, rows)
-        at += kern.shape[1]
-    return Subspace(e)
+    return Subspace(_lifted(blocks, [_basis_times(probe, kern, rows)
+                                     for rows, kern in zip(blocks, kernels)]))
 
 
 def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
@@ -683,8 +673,7 @@ def verdict_battery(p: OperatorPair, seed: int = 0) -> VerdictReport:
     r_i = red_out + red_in + iso
     r_ii = red_out + red_in + dc
     vacuous = e_sub.dim == 0
-    r_iii = 0.0 if vacuous else operator_norm(
-        _adjoint_times(h_inf, m2 @ e_sub.basis))
+    r_iii = operator_norm(_adjoint_times(h_inf, _times_basis(m2, e_sub)))
     degs = p.space.degrees_array()
     top = max(int(np.max(degs)), _N_LEVELS)
     verdict = bool(vacuous or r_iii <= 1e-8)
@@ -713,15 +702,13 @@ def _trusted_ladder(step: np.ndarray, start: Subspace, probe: Subspace,
         return np.zeros((0, start.ambient_dim, 0), dtype=np.complex128)
     rungs = np.empty((cap + 1, *start.basis.shape), dtype=np.complex128)
     rungs[0] = start.basis
-    q = probe.basis
-    qh = q.conj().T
     built, size = 1, 1
     while built <= cap:
         stop = min(built + size, cap + 1)
         for k in range(built, stop):
             rungs[k] = step @ rungs[k - 1]
         chunk = rungs[built:stop]
-        leaked = chunk - q @ (qh @ chunk)
+        leaked = chunk - probe.project(chunk)
         if chunk.shape[-1] == 1:
             leak = np.linalg.norm(leaked[..., 0], axis=-1)
             scale = np.linalg.norm(chunk[..., 0], axis=-1)
@@ -764,14 +751,12 @@ def model_decomposition(p: OperatorPair) -> ModelDecomposition:
     n = p.space.dim
     split = p.split_1
     h_inf, h_perp, a = split.h_inf, split.h_perp, split.a2
-    h_uu = Subspace(_basis_times(h_inf, hyper_range(a).basis))
-    f_wander = Subspace(_basis_times(h_inf, wandering_subspace(a).basis))
-    v1 = h_uu.basis.conj().T @ m1 @ h_uu.basis
-    v2 = h_uu.basis.conj().T @ m2 @ h_uu.basis
-    psi = f_wander.basis.conj().T @ m1 @ f_wander.basis
+    h_uu = _lift(h_inf, hyper_range(a))
+    f_wander = _lift(h_inf, wandering_subspace(a))
+    v1, v2 = (_compression(m, h_uu) for m in (m1, m2))
+    psi = _compression(m1, f_wander)
     f_lad = _trusted_ladder(m2, f_wander, p.probe, n)
-    e_wander = Subspace(_basis_times(
-        h_perp, wandering_subspace(_compression(m1, h_perp)).basis))
+    e_wander = _lift(h_perp, wandering_subspace(_compression(m1, h_perp)))
     e_dim = e_wander.dim
     e_lad = _trusted_ladder(m1, e_wander, p.probe, n)
     k_e = len(e_lad)
@@ -818,18 +803,17 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
     second operator is unitary, and its complement in the half, read off
     the same deflation (``hyper_range_split``), where it is a shift. When
     the compression's blocks are kept or dropped whole, as on the
-    four-block and tensor pairs, that split and the lifts are selections;
-    the parts are still held as dense identity columns. This
+    four-block and tensor pairs, each part is a coordinate subspace. This
     yields the parts on which (first, second) act as (unitary, unitary),
     (unitary, shift), (shift, unitary), and (shift, shift); an empty half
     yields two empty parts. Each part is labeled by its unitarity
     defects: an operator is unitary on it when both Gram defects of its
-    compression are at most 1e-8, each decided by ``_norm_at_most``, and
-    its shift coordinates get wandering fiber
-    dimensions, and mixed parts report the constant compression of their
-    unitary coordinate on the other coordinate's wandering subspace. The
-    reduction residual is measured against the full operators, so a half
-    that fails to reduce the second one off the probe still shows.
+    compression are at most 1e-8, each decided by ``_norm_at_most``. Its
+    shift coordinates get wandering fiber dimensions, and mixed parts
+    report the constant compression of their unitary coordinate on the
+    other coordinate's wandering subspace. The reduction residual is
+    measured against the full operators, so a half that fails to reduce
+    the second one off the probe still shows.
 
     Raises
     ------
@@ -850,8 +834,8 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
             (("uu", "us"), split.h_inf, split.a2),
             (("su", "ss"), split.h_perp, _compression(m2, split.h_perp))):
         h2, rest = hyper_range_split(a)
-        parts[unitary_key] = Subspace(_basis_times(half, h2.basis))
-        parts[shift_key] = Subspace(_basis_times(half, rest.basis))
+        parts[unitary_key] = _lift(half, h2)
+        parts[shift_key] = _lift(half, rest)
     dims = {k: v.dim for k, v in parts.items()}
     labels: dict = {}
     fibers: dict = {}
@@ -866,7 +850,7 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         reduce_worst = max(reduce_worst, *reducing_residual(m1, sub),
                            *reducing_residual(m2, sub))
         # the compressions to the part, and everything read off them
-        c1, c2 = (sub.basis.conj().T @ m @ sub.basis for m in (m1, m2))
+        c1, c2 = (_compression(m, sub) for m in (m1, m2))
         role = tuple("unitary" if all(_norm_at_most(_gram_residual(x), 1e-8)
                                       for x in (c, c.conj().T)) else "shift"
                      for c in (c1, c2))
@@ -875,9 +859,9 @@ def slocinski(p: OperatorPair) -> SlocinskiDecomposition:
         fibers[key] = (w1.dim, w2.dim)
         consts[key] = None
         if role == ("unitary", "shift"):
-            consts[key] = w2.basis.conj().T @ c1 @ w2.basis
+            consts[key] = _compression(c1, w2)
         elif role == ("shift", "unitary"):
-            consts[key] = w1.basis.conj().T @ c2 @ w1.basis
+            consts[key] = _compression(c2, w1)
     return SlocinskiDecomposition(
         parts=parts, dims=dims, labels=labels, fiber_dims=fibers,
         constant_symbols=consts,

@@ -23,6 +23,9 @@ from .errors import DomainError, ValidationError
 from .hardy import GradedOperator, abstract_space
 from .linalg import (
     Subspace,
+    _compression,
+    _gram_residual,
+    _lifted,
     _norm_at_most,
     as_matrix,
     complement,
@@ -176,8 +179,8 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
     if norm > 1.0 + 1e-10:
         raise DomainError(f"not a contraction: operator norm {norm:.12g}")
     n = m.shape[0]
-    eye = np.eye(n)
-    defects = (eye - m.conj().T @ m, eye - m @ m.conj().T)
+    # T^H T - I and T T^H - I: neither the kernels nor the norms read the sign
+    defects = (_gram_residual(m), _gram_residual(m.conj().T))
     if all(_norm_at_most(d, tol) for d in defects):
         # both kernels, and so the start, are the whole space
         block = np.zeros((n, 0), dtype=np.complex128)
@@ -206,7 +209,7 @@ def unitary_part(t, tol: float = 1e-10) -> CanonicalDecomposition:
         basis = np.hstack([basis, block])
     cnu = Subspace(basis)
     unitary = complement(cnu)
-    unitary_block = unitary.basis.conj().T @ m @ unitary.basis
+    unitary_block = _compression(m, unitary)
     return CanonicalDecomposition(
         unitary_part=unitary,
         cnu_part=cnu,
@@ -440,21 +443,6 @@ def _deflated_blocks(m: np.ndarray, tol: float, slices: tuple) -> list:
     return [deflated[key] for key in keys]
 
 
-def _lifted(slices: tuple, bases: list) -> np.ndarray:
-    """The block-diagonal matrix of the per-block ``bases``, block ``k``
-    in rows ``slices[k]``; one block's basis is returned as it is, made
-    contiguous."""
-    if len(bases) == 1:
-        return np.ascontiguousarray(bases[0])
-    out = np.zeros((slices[-1].stop, sum(b.shape[1] for b in bases)),
-                   dtype=np.complex128)
-    col = 0
-    for sl, b in zip(slices, bases):
-        out[sl, col:col + b.shape[1]] = b
-        col += b.shape[1]
-    return out
-
-
 def _strictly_triangular(m: np.ndarray) -> bool:
     """Whether ``m`` is exactly strictly lower or strictly upper triangular."""
     return not np.any(np.triu(m)) or not np.any(np.tril(m))
@@ -470,7 +458,10 @@ def _deflated_block(m: np.ndarray, tol: float,
     ``{0}`` and its complement the identity, with no power, SVD or ladder
     and no norm. Every other block has a nonzero entry, so ``norm > 0``.
     The guess's invariance leak test ``||blocks[h:, :h]|| <= tol * norm``
-    prints no value, so ``_norm_at_most`` takes it.
+    prints no value, so ``_norm_at_most`` takes it. When the SVD of
+    ``T^N`` does not converge (LAPACK can fail on a power whose singular
+    values all tie), the left singular vectors are the right ones of its
+    adjoint's SVD.
     """
     n = m.shape[0]
     if _strictly_triangular(m):
@@ -485,7 +476,11 @@ def _deflated_block(m: np.ndarray, tol: float,
         if top == 0.0:
             break
         power = power / top
-    u, s, _ = np.linalg.svd(power)
+    try:
+        u, s, _ = np.linalg.svd(power)
+    except np.linalg.LinAlgError:
+        _, s, vh = np.linalg.svd(power.conj().T)
+        u = vh.conj().T
     cut = tol * s[0]
     h = int(np.sum(s > cut))
     kept = h > 0 and s[h - 1] > 10.0 * cut and (h == n or s[h] <= cut / 10.0)

@@ -1,9 +1,12 @@
-"""Static checks that the library carries no dead names.
+"""Static checks that the library carries no dead names or hand products.
 
 Every module of ``src/woldlab`` other than ``__init__`` reads each name it
 imports, and every private top-level function or class is referenced
-somewhere in the package. The check reads the source with ``ast`` and
-imports nothing.
+somewhere in the package. No module other than ``linalg`` writes a
+compression ``X.basis.conj().T @ M @ X.basis`` or wraps a
+``_basis_times(...)`` lift in ``Subspace(...)``: those go through
+``linalg._compression`` and ``linalg._lift``. The checks read the source
+with ``ast`` and import nothing.
 """
 
 import ast
@@ -80,6 +83,48 @@ def unreferenced_private_definitions(modules: dict) -> list:
     return found
 
 
+def _is_basis(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "basis"
+
+
+def _is_basis_adjoint(node: ast.AST) -> bool:
+    """``X.basis.conj().T``."""
+    return isinstance(node, ast.Attribute) and node.attr == "T" \
+        and isinstance(node.value, ast.Call) \
+        and isinstance(node.value.func, ast.Attribute) \
+        and node.value.func.attr == "conj" and _is_basis(node.value.func.value)
+
+
+def _is_matmul(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+
+def _is_call_of(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name
+
+
+def hand_products(modules: dict) -> list:
+    """``module:line`` for each compression ``X.basis.conj().T @ M @
+    X.basis``, in either grouping, and each ``Subspace(_basis_times(...))``
+    a module other than ``linalg`` writes."""
+    found = []
+    for name, tree in modules.items():
+        if name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            sandwich = _is_matmul(node) and (
+                _is_basis(node.right) and _is_matmul(node.left)
+                and _is_basis_adjoint(node.left.left)
+                or _is_basis_adjoint(node.left) and _is_matmul(node.right)
+                and _is_basis(node.right.right))
+            lift = _is_call_of(node, "Subspace") and any(
+                _is_call_of(arg, "_basis_times") for arg in node.args)
+            if sandwich or lift:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
 def test_every_imported_name_is_read():
     assert unused_imports(_modules()) == []
 
@@ -97,3 +142,20 @@ def test_the_checks_find_an_unused_import_and_a_dead_helper():
     modules = {"mod.py": source}
     assert unused_imports(modules) == ["mod.py:1: os"]
     assert unreferenced_private_definitions(modules) == ["mod.py:4: _dead"]
+
+
+def test_compressions_and_lifts_are_formed_in_linalg_only():
+    assert hand_products(_modules()) == []
+
+
+def test_the_check_finds_a_hand_compression_and_a_hand_lift():
+    source = ast.parse(
+        "a = s.basis.conj().T @ m @ s.basis\n"
+        "b = s.basis.conj().T @ (m @ s.basis)\n"
+        "c = Subspace(_basis_times(h, p.basis))\n"
+        "d = _compression(m, s)\n"
+        "e = _lift(h, p)\n"
+        "f = s.basis.conj().T @ m\n")
+    assert hand_products({"mod.py": source}) == [
+        "mod.py:1", "mod.py:2", "mod.py:3"]
+    assert hand_products({"linalg.py": source}) == []

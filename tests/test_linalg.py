@@ -427,16 +427,15 @@ def test_subspaces_and_pairs_compare_and_hash_by_identity():
 
 _NORM_CASES = st.tuples(
     st.integers(0, 2 ** 32 - 1),
-    st.sampled_from(["random", "rank-1", "zero", "tiny", "stacked"]),
+    st.sampled_from(["random", "rank-1", "zero", "tiny"]),
     st.sampled_from(["above", "below", "frobenius", "frobenius-over-sqrt-r"]),
     # squared entries of the scaled input fall to subnormals, or overflow
     st.sampled_from([1.0, 1e-160, 1e160]))
 
 
 def _norm_case(rng, kind):
-    """A matrix, or a stack of matrices, of the given kind."""
-    m, d = (int(k) for k in rng.integers(1, 9, size=2))
-    shape = (int(rng.integers(2, 5)), m, d) if kind == "stacked" else (m, d)
+    """A matrix of the given kind."""
+    shape = tuple(int(k) for k in rng.integers(1, 9, size=2))
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if kind == "rank-1":
         return np.outer(a[:, 0], a[0])
@@ -460,21 +459,21 @@ def test_norm_at_most_property_decides_as_the_svd(case):
     rng = np.random.default_rng(seed)
     a = _norm_case(rng, kind)
     exact = operator_norm(a)
-    fro = float(np.linalg.norm(a, axis=(-2, -1)).max())
+    fro = float(np.linalg.norm(a))
     bound = {"above": exact * (1.0 + 1e-9), "below": exact * (1.0 - 1e-9),
              "frobenius": fro,
-             "frobenius-over-sqrt-r": fro / np.sqrt(min(a.shape[-2:]))}[at]
+             "frobenius-over-sqrt-r": fro / np.sqrt(min(a.shape))}[at]
     a, bound = scale * a, scale * bound
     assert _norm_at_most(a, bound) == (operator_norm(a) <= bound)
 
 
 @pytest.mark.parametrize("bound", [0.0, 1.0, 1e300, np.inf])
-@pytest.mark.parametrize("stacked", [False, True])
-def test_norm_at_most_never_passes_a_nan(bound, stacked):
-    a = np.eye(3, dtype=np.complex128)
+@pytest.mark.parametrize("otherwise_zero", [False, True])
+def test_norm_at_most_never_passes_a_nan(bound, otherwise_zero):
+    # a NaN among zeros is not an all-zero matrix: it reaches the SVD
+    a = np.zeros((3, 3)) if otherwise_zero else np.eye(3)
+    a = a.astype(np.complex128)
     a[1, 2] = np.nan
-    if stacked:
-        a = np.stack([np.zeros((3, 3)), a])
     try:
         want = operator_norm(a) <= bound
     except np.linalg.LinAlgError as exc:

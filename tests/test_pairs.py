@@ -14,8 +14,9 @@ from woldlab.errors import (DimensionError, DomainError, PreconditionError,
                             ValidationError)
 from woldlab.hardy import (GradedOperator, abstract_space, compress,
                            multiplier, shift)
-from woldlab.linalg import (Subspace, complement, gram_defect, intersect,
-                            kernel, mutual_orthogonality, operator_norm,
+from woldlab.linalg import (Subspace, _compression, _lift, complement,
+                            gram_defect, intersect, kernel,
+                            mutual_orthogonality, operator_norm,
                             orthonormalize, reducing_residual,
                             subspace_distance, unimodular_clusters,
                             unitarity_defect, zero_subspace)
@@ -26,7 +27,8 @@ from woldlab.pairs import (biunitary_pair, constant_shift_pair,
                            point_spectrum_part, slocinski, tensor_shift_pair,
                            three_part_pair, validate_pair, verdict_battery)
 from woldlab.symbols import SchurSymbol, blaschke, constant, polynomial, taylor
-from woldlab.wold import hyper_range, unitary_part, wandering_subspace
+from woldlab.wold import (hyper_range, hyper_range_split, unitary_part,
+                          wandering_subspace)
 
 from oracles import (model_audits_rungwise, r_v_dense,
                      reducing_residual_complement, slocinski_parts_intersect,
@@ -1120,6 +1122,89 @@ def test_unitary_part_of_the_split_matches_the_full_size_oracle(name):
     assert split.h_inf.dim + split.h_perp.dim == n
     assert subspace_distance(split.h_perp,
                              complement(pair.split_1.h_inf)) <= 1e-12
+
+
+def _reducing_residual_dense(m, s):
+    """Both reducing residuals by dense products with the basis."""
+    q = s.basis
+    qh = q.conj().T
+    a = qh @ m @ q
+    return (operator_norm(m @ q - q @ a), operator_norm(qh @ m - a @ qh))
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
+def test_compressions_lifts_and_residuals_equal_the_dense_formulas(name):
+    # on a coordinate half by selection, bitwise up to the sign of a zero
+    # (array_equal reads -0.0 as 0.0); on a dense one, Q^H (M Q) against
+    # (Q^H M) Q moves the last bits of a sum over up to 59 products
+    pair = _SPLIT_PAIRS[name]()
+    for half in (pair.split_1.h_inf, pair.split_1.h_perp):
+        q = half.basis
+        coordinate = half.mask is not None
+        for m in (pair.s1.matrix, pair.s2.matrix):
+            got, want = _compression(m, half), q.conj().T @ m @ q
+            res, res_want = (reducing_residual(m, half),
+                             _reducing_residual_dense(m, half))
+            if coordinate:
+                assert np.array_equal(got, want)
+                assert res == res_want
+            else:
+                assert np.max(np.abs(got - want), initial=0.0) <= 2e-15
+                assert np.max(np.abs(np.subtract(res, res_want))) <= 1e-15
+        for part in hyper_range_split(_compression(pair.s2.matrix, half)):
+            lifted = _lift(half, part)
+            assert (lifted.mask is not None) == \
+                (coordinate and part.mask is not None)
+            assert np.array_equal(lifted.basis, q @ part.basis)
+
+
+@pytest.mark.parametrize("name", ["four-block-0", "four-block-1",
+                                  "four-block-2", "tensor"])
+def test_slocinski_parts_of_coordinate_splits_are_coordinates(name):
+    pair = _SPLIT_PAIRS[name]()
+    dec = slocinski(pair)
+    assert dec.dims == ({"uu": 0, "us": 0, "su": 0, "ss": 100}
+                        if name == "tensor"
+                        else {"uu": 2, "us": 11, "su": 11, "ss": 81})
+    for part in dec.parts.values():
+        assert part.mask is not None
+        assert np.array_equal(part.basis, np.eye(pair.space.dim)[:, part.mask])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unitary_part_of_a_four_block_pair_is_its_hyper_range(seed,
+                                                             svd_calls):
+    pair, _ = four_block_pair(seed)
+    pair.split_1
+    svd_calls.clear()
+    unitary = pair.unitary_part_1.unitary_part
+    # the contraction check and the unitary block's two Gram defects: the
+    # reducing residual reads the exactly zero blocks of S1 beside H
+    assert len(svd_calls) <= 3
+    assert np.array_equal(unitary.mask, pair.split_1.h_inf.mask)
+
+
+def test_slocinski_of_a_four_block_pair_takes_few_svds(svd_calls):
+    pair, _ = four_block_pair(0)
+    pair.split_1
+    svd_calls.clear()
+    slocinski(pair)
+    # the compressions, the lifts and the zero off-diagonal blocks of the
+    # reducing residuals are selections
+    assert len(svd_calls) <= 21
+
+
+def test_verdict_of_a_pair_whose_power_svd_does_not_converge():
+    # LAPACK's SVD of this pair's 41 x 41 power, whose singular values
+    # all tie, fails to converge; the deflation reads its adjoint's
+    pair = construct_example(polynomial([
+        0.24805051284788943 - 0.07477865513763565j,
+        -0.12106150998994282 - 0.12906903300149594j,
+        -0.12094653428534041 - 0.013183530251084194j]), 40)
+    report = verdict_battery(pair)
+    assert report.verdict is False
+    assert pair.split_1.h_inf.dim == 123
+    assert abs(report.r_iii - 0.941680689886547) <= 1e-14
 
 
 def _schur_polynomial(seed, degree):

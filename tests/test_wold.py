@@ -718,6 +718,37 @@ def test_strictly_triangular_blocks_are_not_deflated(name, monkeypatch):
     assert h_inf.dim == hyper_range_nested(t).dim
 
 
+_RETRY_INPUTS = {
+    "polynomial-16": lambda: construct_example(
+        polynomial([0.5, 0.5]), 16).s1.matrix,
+    "biunitary": lambda: biunitary_pair(3, 5).s1.matrix,
+    "four-block": lambda: four_block_pair(0)[0].s1.matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETRY_INPUTS))
+def test_a_power_svd_that_fails_is_retried_on_the_adjoint(name, monkeypatch):
+    t = _RETRY_INPUTS[name]()
+    want = hyper_range_split(t)
+    real_svd = np.linalg.svd
+    failed = []
+
+    def fails_once(a, *args, **kwargs):
+        if not failed:
+            failed.append(np.shape(a))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    got = hyper_range_split(t)
+    # the first SVD is a power's; the split is the unpatched one, bitwise
+    assert len(failed) == 1 and failed[0][0] == failed[0][1]
+    for g, w in zip(got, want):
+        assert w.mask is not None
+        assert np.array_equal(g.mask, w.mask)
+        assert np.array_equal(g.basis, w.basis)
+
+
 def test_wold_split_of_truncated_shift_is_exact():
     dec = wold_split(compress(shift(1, 16)), 16)
     assert dec.wandering.dim == 1
